@@ -4,9 +4,10 @@ Subcommands: ``gen-views`` (planning pipeline and reports),
 ``rewrite-workload`` (rewritten statements and DDL only), ``populate``
 (deterministic fixture data through the transaction layer), ``verify``
 (brute-force view/index consistency check), ``bench-join`` (view scan vs
-join), ``bench-locks`` (acquire/release overhead), ``run`` (workload
-driver), ``to-gnuplot`` (CSV to plot data).  ``SYNERGY_DATA_DIR`` is the
-default store/WAL location.
+join), ``bench-locks`` (acquire/release overhead), ``explain`` (query
+plans of a read, over base tables and rewritten onto views), ``run``
+(workload driver), ``to-gnuplot`` (CSV to plot data).
+``SYNERGY_DATA_DIR`` is the default store/WAL location.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .db import Database
 from .errors import SynergyError
 from .schema import LOCK_COLUMN, TableHandle, load_schema
 from .sqlparse import (SelectJoin, count_placeholders, bind_params,
-                       load_workload, render_statement)
+                       load_workload, parse_statement, render_statement)
 from .storage import Store, encode_key
 from .viewgen import WorkloadWeights
 
@@ -251,6 +252,31 @@ def cmd_bench_locks(args) -> int:
     return 0
 
 
+def cmd_explain(args) -> int:
+    db = _make_fixture_db(args)
+    try:
+        if args.sql is not None:
+            stmt = parse_statement(args.sql)
+        elif 0 <= args.position < len(db.workload):
+            stmt = db.workload[args.position]
+        else:
+            print(f"explain: the workload has {len(db.workload)} "
+                  f"statements", file=sys.stderr)
+            return 2
+        if not isinstance(stmt, SelectJoin):
+            print("explain: only SELECT statements have plans",
+                  file=sys.stderr)
+            return 2
+        rewritten = (db.rewrite_statement(stmt) if args.sql is not None
+                     else db.rewrite.statements[args.position])
+        for label, target in (("base", stmt), ("rewritten", rewritten)):
+            print(f"{label}: {render_statement(target)}")
+            print(db.engine.plan(target).describe())
+        return 0
+    finally:
+        db.close()
+
+
 def cmd_run(args) -> int:
     data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
     if data_dir:
@@ -405,6 +431,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench_locks)
+
+    p = sub.add_parser("explain", help="print the plans of a read")
+    p.add_argument("--fixture", choices=fixtures.FIXTURES,
+                   default="tpcw-micro")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--position", type=int,
+                        help="index of a statement in the fixture workload")
+    target.add_argument("--sql", help="a SELECT over the fixture schema")
+    p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("run", help="execute a workload file")
     _add_fixture_args(p)

@@ -81,7 +81,7 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        return self.dirty_cells == 0 and all(
+        return self.dirty_cells == 0 and self.locks_held == 0 and all(
             d.clean for d in self.diffs.values())
 
     def describe(self) -> str:

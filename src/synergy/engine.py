@@ -1,11 +1,17 @@
 """Read path: plan and execute SELECT statements over base tables or views.
 
-Plans are left-deep nested-loop joins seeded by the table with the most
-selective bound filter.  Each access step scans either the table itself or
-one of its covered indexes, by key prefix when the bound attributes allow
-it, else a full scan.  Rows surfaced from a view or view-index carrying
-the dirty mark abort the statement, which restarts from scratch (bounded
-retries); returned rows never expose the mark.
+Plans are left-deep joins seeded by the table with the most selective
+bound filter.  Each access step scans either the table itself or one of
+its covered indexes, by key prefix when the bound attributes allow it,
+else a full scan.  A step with no bound prefix that joins by equality to
+an earlier step which can yield several rows is a hash step: the first
+visit scans its table once and buckets the rows on the join attribute,
+and every later visit probes the bucket for the outer value instead of
+re-scanning.  The buckets live for one execution attempt only; rows come
+out in the same order as the nested loop would give them.  Rows surfaced
+from a view or view-index carrying the dirty mark, including any met while
+building a hash step, abort the statement, which restarts from scratch
+(bounded retries); returned rows never expose the mark.
 """
 
 from __future__ import annotations
@@ -51,19 +57,23 @@ class AccessStep:
     key_exprs: tuple         # bound prefix of the scanned table's key
     residual: tuple[Predicate, ...]
     check_dirty: bool
+    probe: Predicate | None = None   # hash step: equality against an OuterRef
 
     def describe(self) -> str:
         mode = "full"
-        if self.key_exprs:
+        if self.probe is not None:
+            mode = "hash"
+        elif self.key_exprs:
             mode = "prefix" if self.scan_table == self.table else "index"
         parts = [f"{self.alias}: {mode} scan {self.scan_table}"]
+        if self.probe is not None:
+            parts.append(f"on {_show_pred(self.probe)}")
         if self.key_exprs:
             parts.append("key=[" + ", ".join(_show(e) for e in self.key_exprs)
                          + "]")
         if self.residual:
             parts.append("filter=[" + ", ".join(
-                f"{p.attr} {p.op} {_show(p.expr)}" for p in self.residual)
-                + "]")
+                _show_pred(p) for p in self.residual) + "]")
         return " ".join(parts)
 
 
@@ -73,6 +83,10 @@ def _show(expr) -> str:
     if isinstance(expr, Param):
         return f"?{expr.index}"
     return f"{expr.alias}.{expr.attr}"
+
+
+def _show_pred(p: Predicate) -> str:
+    return f"{p.attr} {p.op} {_show(p.expr)}"
 
 
 @dataclass(frozen=True)
@@ -219,11 +233,21 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
                 residual.append(mine)
             elif mine.expr not in key_exprs:
                 residual.append(mine)
+        # hash an unbound step only when an earlier step can yield several
+        # rows; a step visited once gains nothing from a build
+        probe = None
+        if not key_exprs and any(
+                len(s.key_exprs) < len(catalog.handle(s.scan_table).key_attrs)
+                for s in steps):
+            probe = next((p for p in residual if p.op == "=" and
+                          isinstance(p.expr, OuterRef)), None)
+            if probe is not None:
+                residual.remove(probe)
         scan_kind = catalog.handle(scan_table).kind
         steps.append(AccessStep(
             alias=alias, table=handle.name, scan_table=scan_table,
             key_exprs=key_exprs, residual=tuple(residual),
-            check_dirty=scan_kind in (VIEW, INDEX)))
+            check_dirty=scan_kind in (VIEW, INDEX), probe=probe))
         placed.add(alias)
     return QueryPlan(tuple(steps), projections)
 
@@ -240,10 +264,24 @@ _COMPARE = {
 }
 
 
+def _hash_rows(step: AccessStep, store: Store) -> dict:
+    """One full scan of the step's table bucketed on its probe attribute,
+    each bucket in key order; raises _DirtyRow on a marked row."""
+    attr = step.probe.attr
+    check_dirty = step.check_dirty
+    buckets: dict = {}
+    for key, cells in store.scan(step.scan_table):
+        if check_dirty and cells.get(DIRTY):
+            raise _DirtyRow()
+        buckets.setdefault(cells.get(attr), []).append((key, cells))
+    return buckets
+
+
 def execute_plan(plan: QueryPlan, params, store: Store,
                  catalog: StoreCatalog) -> list[dict]:
     """Single execution attempt; raises _DirtyRow on a marked row."""
     steps = plan.steps
+    hashed: dict[int, dict] = {}     # depth -> buckets of a hash step
 
     def evaluate(expr, env):
         if isinstance(expr, Const):
@@ -271,10 +309,15 @@ def execute_plan(plan: QueryPlan, params, store: Store,
 
     def run(depth, env):
         step = steps[depth]
-        handle = catalog.handle(step.scan_table)
-        if step.key_exprs:
+        if step.probe is not None:
+            buckets = hashed.get(depth)
+            if buckets is None:
+                buckets = hashed[depth] = _hash_rows(step, store)
+            rows = buckets.get(evaluate(step.probe.expr, env), ())
+        elif step.key_exprs:
             values = tuple(evaluate(e, env) for e in step.key_exprs)
-            start, end = prefix_range(values, handle)
+            start, end = prefix_range(values,
+                                      catalog.handle(step.scan_table))
             rows = store.scan(step.scan_table, start, end)
         else:
             rows = store.scan(step.scan_table)

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import CycleError, SchemaError, UnknownTableError
-from .sqlparse import Insert, SelectJoin, Statement
+from .sqlparse import Insert, SelectJoin, Statement, Update
 
 INT = "int"
 STRING = "string"
@@ -335,6 +335,30 @@ def _write_key_coverage(schema: SchemaDef, stmt: Statement) -> str | None:
         missing = [a for a in rel.primary_key if a not in eq]
     if missing:
         return f"key attribute {missing[0]!r} not specified"
+    return None
+
+
+def _write_type_mismatch(schema: SchemaDef, stmt: Statement) -> str | None:
+    """Reason a bound write carries a value its attribute's declared type
+    rejects (the key encoder's rule: ints exclude bools), or None."""
+    rel = schema.relation(stmt.relation)
+    types = rel.attr_types
+    if isinstance(stmt, Insert):
+        pairs = list(stmt.values)
+    else:
+        pairs = [(f.ref.name, f.value) for f in stmt.filters]
+        if isinstance(stmt, Update):
+            pairs += stmt.assignments
+    for attr, value in pairs:
+        vtype = types.get(attr)
+        if vtype == INT:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        elif vtype == STRING:
+            ok = isinstance(value, str)
+        else:
+            continue
+        if not ok:
+            return f"{rel.name}.{attr} expects {vtype}, got {value!r}"
     return None
 
 

@@ -43,6 +43,16 @@ ABSENT = _Absent()
 
 # -- key encoding ------------------------------------------------------------
 
+def encode_text(value: str) -> bytes:
+    """UTF-8 that also carries lone surrogates; byte order still equals
+    code-point order."""
+    return value.encode("utf-8", "surrogatepass")
+
+
+def decode_text(raw: bytes) -> str:
+    return raw.decode("utf-8", "surrogatepass")
+
+
 def encode_value(value, vtype: str) -> bytes:
     if vtype == "int":
         if not isinstance(value, int) or isinstance(value, bool):
@@ -51,7 +61,7 @@ def encode_value(value, vtype: str) -> bytes:
     if vtype == "string":
         if not isinstance(value, str):
             raise TypeError(f"expected string key component, got {value!r}")
-        raw = value.encode("utf-8")
+        raw = encode_text(value)
         return raw.replace(ESCAPE, ESCAPE + ESCAPE).replace(DELIM, ESCAPE + DELIM)
     raise SchemaError(f"unknown key type {vtype!r}")
 
@@ -91,7 +101,7 @@ def decode_key(key: bytes, types: Iterable[str]) -> tuple:
                 else:
                     buf += b
                     pos += 1
-            out.append(buf.decode("utf-8"))
+            out.append(decode_text(buf))
     if pos != len(key):
         raise ValueError("malformed key: trailing bytes")
     return tuple(out)
@@ -277,7 +287,7 @@ def _encode_cell(value) -> bytes:
     if isinstance(value, int):
         return struct.pack(">Bq", 0, value)
     if isinstance(value, str):
-        raw = value.encode("utf-8")
+        raw = encode_text(value)
         return struct.pack(">BI", 1, len(raw)) + raw
     raise TypeError(f"unsupported cell value {value!r}")
 
@@ -292,7 +302,7 @@ def _decode_cell(data: bytes, pos: int):
     if tag == 1:
         (n,) = struct.unpack_from(">I", data, pos)
         pos += 4
-        return data[pos:pos + n].decode("utf-8"), pos + n
+        return decode_text(data[pos:pos + n]), pos + n
     raise ValueError(f"bad cell tag {tag}")
 
 

@@ -26,10 +26,12 @@ from .errors import (LockTimeout, OrphanError, SchemaError, SynergyError,
 from .maintenance import (build_delete_index_keys, build_insert_view_tuple,
                           key_values_from_filters, plan_update_rows,
                           validate_update)
-from .schema import (LOCK_COLUMN, StoreCatalog, _write_key_coverage)
+from .schema import (LOCK_COLUMN, StoreCatalog, _write_key_coverage,
+                     _write_type_mismatch)
 from .sqlparse import (Delete, Insert, Update, WriteStatement,
                        count_placeholders, parse_statement, render_statement)
-from .storage import ABSENT, DIRTY, Store, encode_key
+from .storage import (ABSENT, DIRTY, Store, decode_text, encode_key,
+                      encode_text)
 from .viewgen import RootedTree
 from .viewselect import ViewDef
 
@@ -64,7 +66,7 @@ class WriteAheadLog:
             self._fh.flush()
 
     def append(self, txn_id: int, phase: int, statement: str) -> None:
-        payload = struct.pack(">QB", txn_id, phase) + statement.encode("utf-8")
+        payload = struct.pack(">QB", txn_id, phase) + encode_text(statement)
         record = struct.pack(">I", len(payload)) + payload
         with self._lock:
             self._fh.write(record)
@@ -108,8 +110,7 @@ def read_wal(path) -> list[WalRecord]:
                 raise WalCorruptionError(
                     f"transaction ids not increasing at {txn_id}")
             last_begin = txn_id
-        records.append(WalRecord(txn_id, phase,
-                                 payload[9:].decode("utf-8")))
+        records.append(WalRecord(txn_id, phase, decode_text(payload[9:])))
     return records
 
 
@@ -290,7 +291,10 @@ class TransactionManager:
             raise ValueError(f"not a write statement: {stmt!r}")
         if count_placeholders(stmt):
             raise ValueError("bind parameters before executing")
-        reason = _write_key_coverage(self.schema, stmt)
+        # admission runs before the begin record and the root lock: a value
+        # the key encoder would reject leaves neither behind
+        reason = (_write_key_coverage(self.schema, stmt)
+                  or _write_type_mismatch(self.schema, stmt))
         if reason is not None:
             raise SchemaError(f"statement not admissible: {reason}")
         if isinstance(stmt, Update):

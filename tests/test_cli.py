@@ -227,6 +227,24 @@ def test_run_workload_concurrent_then_verify(tmp_path, capsys):
         db.close()
 
 
+def test_explain_prints_base_and_rewritten_plans(capsys):
+    assert main(["explain", "--position", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("base: SELECT * FROM Customer AS c")
+    assert lines[1:4] == [
+        "c: prefix scan Customer key=[?0]",
+        "o: full scan Order filter=[O_C_ID = c.C_ID]",
+        "ol: hash scan Order_line on OL_O_ID = o.O_ID"]
+    assert lines[4].startswith(
+        "rewritten: SELECT * FROM V_Customer_Order_Order_line")
+    assert lines[5] == \
+        "v1: index scan X_V_Customer_Order_Order_line_C_ID key=[?0]"
+    assert main(["explain", "--fixture", "company", "--sql",
+                 "SELECT * FROM Address as a WHERE a.AID = 2"]) == 0
+    assert "a: prefix scan Address key=[2]" in capsys.readouterr().out
+    assert main(["explain", "--position", "2"]) == 2
+
+
 def test_run_unknown_workload_file_fails(tmp_path):
     rc = main(["run", "--workload", str(tmp_path / "missing.sql"),
                "--fixture", "tpcw-micro", "--scale", "2"])

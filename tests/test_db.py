@@ -64,6 +64,24 @@ def test_string_keyed_pipeline_end_to_end():
         db.close()
 
 
+def test_lone_surrogate_survives_save_and_open(tmp_path):
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload())
+    try:
+        db.execute(db.workload[2], (1, "\ud800", 0))
+        db.save(str(tmp_path))
+    finally:
+        db.close()
+    reopened = Database.open(str(tmp_path))
+    try:
+        assert reopened.execute("SELECT * FROM Customer") == [
+            {"C_ID": 1, "C_UNAME": "\ud800", "C_BALANCE": 0}]
+        assert any("\ud800" in r.statement
+                   for r in read_wal(reopened.wal.path))
+        assert reopened.verify().ok
+    finally:
+        reopened.close()
+
+
 def composite_key_schema():
     relations = {
         "Region": RelationDef(

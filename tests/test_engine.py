@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,9 +8,9 @@ from synergy.db import Database
 from synergy.errors import (AmbiguityError, DirtyReadTimeout,
                             UnknownAttributeError, UnknownTableError)
 from synergy.fixtures import (company_schema, company_workload,
-                              populate_company, tpcw_micro_schema,
-                              tpcw_micro_workload)
-from synergy.sqlparse import parse_statement
+                              populate_company, populate_tpcw_micro,
+                              tpcw_micro_schema, tpcw_micro_workload)
+from synergy.sqlparse import SelectJoin, count_placeholders, parse_statement
 from synergy.storage import DIRTY, encode_key
 
 
@@ -184,3 +185,82 @@ def test_contradictory_duplicate_key_filters(company_db):
         "SELECT * FROM Employee as e, Works_On as wo "
         "WHERE e.EID = wo.WO_EID AND wo.WO_EID = 3 AND wo.WO_EID = 4")
     assert rows == []
+
+
+# -- hash steps -----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def tpcw_db():
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload())
+    populate_tpcw_micro(db, scale=6, ratio=3, seed=4)
+    yield db
+    db.close()
+
+
+def nested_loop(plan):
+    """The same plan with every probe moved back into its residual."""
+    return dataclasses.replace(plan, steps=tuple(
+        s if s.probe is None else
+        dataclasses.replace(s, probe=None, residual=s.residual + (s.probe,))
+        for s in plan.steps))
+
+
+def test_hash_step_only_under_a_multi_row_outer_step(tpcw_db):
+    q1 = {s.alias: s for s in tpcw_db.engine.plan(tpcw_db.workload[0]).steps}
+    assert all(s.probe is None for s in q1.values())
+    q2 = {s.alias: s for s in tpcw_db.engine.plan(tpcw_db.workload[1]).steps}
+    assert [a for a, s in q2.items() if s.probe is not None] == ["ol"]
+    assert q2["ol"].key_exprs == ()
+    assert q2["ol"].describe() == \
+        "ol: hash scan Order_line on OL_O_ID = o.O_ID"
+
+
+AD_HOC = {
+    "company": ["SELECT * FROM Address as a, Employee as e "
+                "WHERE a.AID = e.EOffice_AID",
+                "SELECT * FROM Address as a, Employee as e "
+                "WHERE a.AID = e.EOffice_AID and e.ESalary > 90000"],
+    "tpcw-micro": ["SELECT o.O_ID, ol.OL_ID FROM Order as o, "
+                   "Order_line as ol WHERE o.O_ID = ol.OL_O_ID "
+                   "and ol.OL_QTY >= 3"],
+}
+
+
+@pytest.mark.parametrize("fixture", ["company", "tpcw-micro"])
+def test_hash_plan_equals_nested_loop_row_for_row(fixture, company_db,
+                                                  tpcw_db):
+    db = company_db if fixture == "company" else tpcw_db
+    stmts = [s for s in db.workload if isinstance(s, SelectJoin)]
+    stmts += [parse_statement(t) for t in AD_HOC[fixture]]
+    hashed = 0
+    for stmt in stmts:
+        plan = db.engine.plan(stmt)
+        hashed += any(s.probe is not None for s in plan.steps)
+        for param in (1, 2, 3, 5, 40):
+            params = (param,) * count_placeholders(stmt)
+            got = db.engine.execute_plan(plan, params)
+            want = db.engine.execute_plan(nested_loop(plan), params)
+            assert got == want, (plan.describe(), param)
+    assert hashed, "no statement exercised a hash step"
+
+
+def test_marked_row_in_a_hashed_view_step_forces_rescan():
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload())
+    try:
+        populate_tpcw_micro(db, scale=2, ratio=2, seed=1)
+        stmt = parse_statement(
+            "SELECT o.O_ID, v.OL_ID FROM Order as o, "
+            "V_Customer_Order_Order_line as v "
+            "WHERE o.O_ID = v.OL_O_ID and o.O_C_ID = 1")
+        step = db.engine.plan(stmt).steps[1]
+        assert step.probe is not None and step.check_dirty
+        assert len(db.execute(stmt)) == 4
+        # a row no probe reaches: the build meets it, as a full scan would
+        key, cells = next((k, c) for k, c in db.store.scan(step.scan_table)
+                          if c["C_ID"] == 2)
+        db.store.put(step.scan_table, key, dict(cells, **{DIRTY: True}))
+        db.engine.max_rescans = 3
+        with pytest.raises(DirtyReadTimeout):
+            db.execute(stmt)
+    finally:
+        db.close()

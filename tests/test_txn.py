@@ -198,6 +198,30 @@ def test_write_missing_key_attributes_is_rejected(db):
                    "VALUES (1, 's', 5)")
 
 
+def test_mistyped_key_is_rejected_before_the_lock(db):
+    db.txn.locks.timeout = 0.5
+    seed_rows(db, customers=1, orders=0, lines=0)
+    records = len(read_wal(db.wal.path))
+    with pytest.raises(SchemaError):
+        db.execute("INSERT INTO Order (O_ID, O_C_ID, O_STATUS, O_TOTAL) "
+                   "VALUES ('x', 1, 's', 9)")
+    with pytest.raises(SchemaError):
+        db.execute("UPDATE Order SET O_TOTAL = 1 WHERE O_ID = 'x'")
+    assert len(read_wal(db.wal.path)) == records
+    assert not db.txn.locks.held("Customer", key_of(1))
+    assert db.verify().locks_held == 0
+    db.execute("UPDATE Customer SET C_BALANCE = 3 WHERE C_ID = 1")
+    assert db.verify().ok
+
+
+def test_verify_fails_on_a_stranded_lock(db):
+    seed_rows(db, customers=1, orders=0, lines=0)
+    db.txn.locks.acquire("Customer", key_of(1))
+    report = db.verify()
+    assert report.locks_held == 1
+    assert not report.ok
+
+
 def test_observer_never_sees_dirty_rows_during_update(db):
     seed_rows(db, customers=1, orders=3, lines=3)
     stop = threading.Event()
