@@ -2,9 +2,12 @@
 
 ``Database.create`` runs the whole planning pipeline for a schema and
 workload (graph, DAG, rooted trees, view selection, rewriting, index
-recommendation), creates every store table including lock tables, and
-exposes one ``execute`` entry point that routes reads through the query
-engine and writes through the transaction manager.
+recommendation); ``Database.open`` reads those artifacts back.  Both then
+share one assembly, the constructor: it builds the catalog (one lock table
+per rooted tree), creates every store table, and wires the WAL, the
+transaction manager and the query engine.  One ``execute`` entry point
+routes reads through the query engine and writes through the transaction
+manager.
 
 ``save``/``open`` persist and restore the pipeline artifacts, a store
 snapshot, and the WAL; opening replays unfinished transactions.
@@ -21,11 +24,12 @@ from dataclasses import dataclass, field
 from . import oracle
 from .engine import QueryEngine
 from .schema import (BASE, INDEX, LOCK, LOCK_COLUMN, VIEW, Edge, IndexDef,
-                     SchemaDef, StoreCatalog, baseline_transform,
-                     build_schema_graph, load_schema, save_schema)
+                     SchemaDef, baseline_transform, build_catalog,
+                     build_schema_graph, index_from_dict, index_to_dict,
+                     load_schema, save_schema)
 from .sqlparse import (SelectJoin, Statement, WriteStatement, bind_params,
                        parse_statement, render_statement)
-from .storage import DIRTY, Store, encode_key
+from .storage import DIRTY, Store, key_of
 from .txn import TransactionManager, WriteAheadLog, read_wal, wal_high_water
 from .viewgen import (GenerationResult, RootedTree, generate_candidate_views)
 from .viewselect import (RewriteResult, ViewDef, recommend_maintenance_indexes,
@@ -48,17 +52,6 @@ def _tree_from_dict(doc: dict) -> RootedTree:
     return RootedTree(doc["root"], tuple(doc["nodes"]),
                       tuple(Edge(s, d, tuple(pk), fkn, tuple(fk))
                             for s, d, pk, fkn, fk in doc["edges"]))
-
-
-def _index_to_dict(idx: IndexDef) -> dict:
-    return {"name": idx.name, "base": idx.base,
-            "attributes": list(idx.attributes),
-            "indexed_on": list(idx.indexed_on)}
-
-
-def _index_from_dict(doc: dict) -> IndexDef:
-    return IndexDef(doc["name"], doc["base"], tuple(doc["attributes"]),
-                    tuple(doc["indexed_on"]))
 
 
 @dataclass
@@ -100,28 +93,34 @@ class VerifyReport:
 
 
 class Database:
-    def __init__(self, schema: SchemaDef, store: Store, catalog: StoreCatalog,
-                 views: list[ViewDef], trees: list[RootedTree],
+    def __init__(self, schema: SchemaDef, trees: list[RootedTree],
                  rewrite: RewriteResult, view_indexes: list[IndexDef],
-                 maintenance_indexes: list[IndexDef], wal: WriteAheadLog,
-                 txn: TransactionManager, engine: QueryEngine,
+                 maintenance_indexes: list[IndexDef], wal_path: str,
+                 fsync: bool = False, lock_timeout: float = 10.0,
+                 next_txn_id: int = 1,
                  generation: GenerationResult | None = None,
                  workload: list[Statement] | None = None,
                  tmp_dir: str | None = None):
         self.schema = schema
-        self.store = store
-        self.catalog = catalog
-        self.views = views
+        self.views = rewrite.views
         self.trees = trees
         self.rewrite = rewrite
         self.view_indexes = view_indexes
         self.maintenance_indexes = maintenance_indexes
-        self.wal = wal
-        self.txn = txn
-        self.engine = engine
+        self.catalog = build_catalog(
+            schema, self.views, view_indexes + maintenance_indexes,
+            [t.root for t in trees])
+        self.store = Store()
+        for handle in self.catalog.all_handles():
+            self.store.create_table(handle)
+        self.wal = WriteAheadLog(wal_path, fsync=fsync)
+        self.txn = TransactionManager(self.store, self.catalog, self.views,
+                                      trees, self.wal, next_txn_id=next_txn_id,
+                                      lock_timeout=lock_timeout)
+        self.engine = QueryEngine(self.store, self.catalog)
         self.generation = generation
         self.workload = workload or []
-        self._views_by_path = {v.relations: v for v in views}
+        self._views_by_path = {v.relations: v for v in self.views}
         self._tmp_dir = tmp_dir
         self.recovery = None
 
@@ -142,37 +141,22 @@ class Database:
                                               rewrite.views)
         maintenance_indexes = recommend_maintenance_indexes(
             rewrite.views, baseline.statements, schema, existing=view_indexes)
-        catalog = baseline.catalog
-        for view in rewrite.views:
-            catalog.add_view(view)
-        for idx in view_indexes + maintenance_indexes:
-            catalog.add_index(idx)
-        used_roots = roots if roots is not None else schema.roots
-        for root in used_roots:
-            catalog.add_lock_table(root)
-
-        store = Store()
-        for handle in catalog.all_handles():
-            store.create_table(handle)
-
         tmp_dir = None
         if data_dir is None:
-            tmp_dir = tempfile.mkdtemp(prefix="synergy-")
-            wal_path = os.path.join(tmp_dir, WAL_FILE)
+            data_dir = tmp_dir = tempfile.mkdtemp(prefix="synergy-")
         else:
             os.makedirs(data_dir, exist_ok=True)
-            wal_path = os.path.join(data_dir, WAL_FILE)
-        wal = WriteAheadLog(wal_path, fsync=fsync)
-        next_id = wal_high_water(read_wal(wal_path)) + 1
-        txn = TransactionManager(store, catalog, rewrite.views,
-                                 generation.trees, wal, next_txn_id=next_id,
-                                 lock_timeout=lock_timeout)
-        engine = QueryEngine(store, catalog)
-        return cls(schema, store, catalog, rewrite.views,
-                   list(generation.trees), rewrite, view_indexes,
-                   maintenance_indexes, wal, txn, engine,
-                   generation=generation, workload=baseline.statements,
-                   tmp_dir=tmp_dir)
+        wal_path = os.path.join(data_dir, WAL_FILE)
+        try:
+            return cls(schema, list(generation.trees), rewrite, view_indexes,
+                       maintenance_indexes, wal_path, fsync, lock_timeout,
+                       next_txn_id=wal_high_water(read_wal(wal_path)) + 1,
+                       generation=generation, workload=baseline.statements,
+                       tmp_dir=tmp_dir)
+        except BaseException:
+            if tmp_dir is not None:
+                shutil.rmtree(tmp_dir, ignore_errors=True)
+            raise
 
     def close(self) -> None:
         self.wal.close()
@@ -229,13 +213,12 @@ class Database:
                           if idx.base in expected_view
                           else base_rows[idx.base])
                 rows = [{a: r[a] for a in handle.columns if a in r}
-                        for r in source
-                        if all(a in r for a in handle.key_attrs)]
+                        for r in source]
             expected = {}
             for row in rows:
-                key = encode_key(tuple(row[a] for a in handle.key_attrs),
-                                 handle.key_types)
-                expected[key] = row
+                key = key_of(handle, row)
+                if key is not None:       # no key attribute: no row here
+                    expected[key] = row
             diff = TableDiff()
             seen = set()
             for key, cells in self.store.scan(handle.name):
@@ -267,8 +250,8 @@ class Database:
             "roots": [t.root for t in self.trees],
             "trees": [_tree_to_dict(t) for t in self.trees],
             "views": [v.to_dict() for v in self.views],
-            "view_indexes": [_index_to_dict(i) for i in self.view_indexes],
-            "maintenance_indexes": [_index_to_dict(i)
+            "view_indexes": [index_to_dict(i) for i in self.view_indexes],
+            "maintenance_indexes": [index_to_dict(i)
                                     for i in self.maintenance_indexes],
             "workload": [render_statement(s) for s in self.workload],
             "rewritten": [render_statement(s)
@@ -290,40 +273,17 @@ class Database:
         with open(os.path.join(data_dir, PIPELINE_FILE),
                   encoding="utf-8") as fh:
             pipeline = json.load(fh)
-        trees = [_tree_from_dict(t) for t in pipeline["trees"]]
         views = [ViewDef.from_dict(v) for v in pipeline["views"]]
-        view_indexes = [_index_from_dict(i)
-                        for i in pipeline["view_indexes"]]
-        maintenance_indexes = [_index_from_dict(i)
-                               for i in pipeline["maintenance_indexes"]]
-        workload = [parse_statement(t) for t in pipeline["workload"]]
-        rewritten = [parse_statement(t) for t in pipeline["rewritten"]]
-
-        catalog = StoreCatalog(schema)
-        for rel in schema.relations.values():
-            catalog.add_base(rel)
-        for idx in schema.indexes:
-            catalog.add_index(idx)
-        for view in views:
-            catalog.add_view(view)
-        for idx in view_indexes + maintenance_indexes:
-            catalog.add_index(idx)
-        for root in pipeline["roots"]:
-            catalog.add_lock_table(root)
-        store = Store()
-        for handle in catalog.all_handles():
-            store.create_table(handle)
+        rewrite = RewriteResult(
+            [parse_statement(t) for t in pipeline["rewritten"]], views, {})
+        db = cls(schema, [_tree_from_dict(t) for t in pipeline["trees"]],
+                 rewrite,
+                 [index_from_dict(i) for i in pipeline["view_indexes"]],
+                 [index_from_dict(i) for i in pipeline["maintenance_indexes"]],
+                 os.path.join(data_dir, WAL_FILE), fsync, lock_timeout,
+                 workload=[parse_statement(t) for t in pipeline["workload"]])
         snapshot = os.path.join(data_dir, SNAPSHOT_FILE)
         if os.path.exists(snapshot):
-            store.load_snapshot(snapshot)
-
-        wal_path = os.path.join(data_dir, WAL_FILE)
-        wal = WriteAheadLog(wal_path, fsync=fsync)
-        txn = TransactionManager(store, catalog, views, trees, wal,
-                                 lock_timeout=lock_timeout)
-        engine = QueryEngine(store, catalog)
-        rewrite = RewriteResult(rewritten, views, {})
-        db = cls(schema, store, catalog, views, trees, rewrite, view_indexes,
-                 maintenance_indexes, wal, txn, engine, workload=workload)
-        db.recovery = txn.recover()
+            db.store.load_snapshot(snapshot)
+        db.recovery = db.txn.recover()
         return db

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import (AmbiguityError, DirtyReadTimeout, UnknownAttributeError,
                      UnknownTableError)
 from .schema import BASE, INDEX, StoreCatalog, TableHandle, VIEW
-from .sqlparse import AttrRef, Placeholder, SelectJoin
+from .sqlparse import COMPARE, AttrRef, Placeholder, SelectJoin
 from .storage import DIRTY, Store, prefix_range
 
 
@@ -256,14 +256,6 @@ class _DirtyRow(Exception):
     pass
 
 
-_COMPARE = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-}
-
-
 def _hash_rows(step: AccessStep, store: Store) -> dict:
     """One full scan of the step's table bucketed on its probe attribute,
     each bucket in key order; raises _DirtyRow on a marked row."""
@@ -335,7 +327,7 @@ def execute_plan(plan: QueryPlan, params, store: Store,
                 if op == "=":
                     if value != other:
                         break
-                elif value is None or not _COMPARE[op](value, other):
+                elif value is None or not COMPARE[op](value, other):
                     break
             else:
                 env[alias] = cells

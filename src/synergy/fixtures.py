@@ -169,7 +169,7 @@ def populate_tpcw_micro(db, scale: int, ratio: int = 10, seed: int = 1) -> None:
     """Insert ``scale`` customers, ``ratio`` orders each, ``ratio`` lines per
     order, parents first.  Deterministic for a given seed."""
     rng = random.Random(seed)
-    execute = db.txn.execute_write if hasattr(db, "txn") else db.execute_write
+    execute = db.txn.execute_write
     order_id = 0
     line_id = 0
     for c_id in range(1, scale + 1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .errors import SchemaError, UnsupportedUpdate
 from .schema import StoreCatalog
 from .sqlparse import Delete, Insert, Update
-from .storage import DIRTY, encode_key, prefix_range
+from .storage import DIRTY, encode_key, key_of, prefix_range
 from .viewselect import ViewDef
 
 
@@ -69,16 +69,14 @@ def build_insert_view_tuple(view: ViewDef, insert: Insert, reader,
         for attr, value in row.items():
             if attr != DIRTY:
                 cells[attr] = value
-    view_handle = catalog.handle(view.name)
-    key = encode_key(tuple(values[a] for a in view.key),
-                     view_handle.key_types)
-    return key, cells
+    return key_of(catalog.handle(view.name), values), cells
 
 
 def build_delete_index_keys(view: ViewDef, delete: Delete, reader,
                             catalog: StoreCatalog) -> list[tuple[str, bytes]]:
     """Index keys to delete alongside a view row: read the view row by the
-    base key, then assemble each view-index key from its cells."""
+    base key, then take each view-index key from its cells (none for an
+    index whose key attribute the row lacks)."""
     if not delete_applies(view, delete.relation):
         raise ValueError(f"delete from {delete.relation} does not "
                          f"apply to {view.name}")
@@ -89,9 +87,9 @@ def build_delete_index_keys(view: ViewDef, delete: Delete, reader,
         return []
     out = []
     for idx in catalog.indexes_of(view.name):
-        ih = catalog.handle(idx.name)
-        out.append((idx.name, encode_key(
-            tuple(row[a] for a in ih.key_attrs), ih.key_types)))
+        ikey = key_of(catalog.handle(idx.name), row)
+        if ikey is not None:
+            out.append((idx.name, ikey))
     return out
 
 
@@ -99,8 +97,10 @@ def build_delete_index_keys(view: ViewDef, delete: Delete, reader,
 class UpdatePlan:
     view: str
     rows: list[tuple[bytes, dict, dict]] = field(default_factory=list)
-    #: (index table, old key, new key, new cells)
-    index_ops: list[tuple[str, bytes, bytes, dict]] = field(default_factory=list)
+    #: (index table, old key or None when the old row had none, new key,
+    #: new cells)
+    index_ops: list[tuple[str, bytes | None, bytes, dict]] = field(
+        default_factory=list)
 
 
 def validate_update(update: Update, schema) -> None:
@@ -152,8 +152,7 @@ def plan_update_rows(view: ViewDef, update: Update, reader,
             ih = catalog.handle(lookup.name)
             start, end = prefix_range(key_vals, ih)
             for _, icells in reader.scan(lookup.name, start, end):
-                vkey = encode_key(tuple(icells[a] for a in view.key),
-                                  view_handle.key_types)
+                vkey = key_of(view_handle, icells)
                 row = reader.get(view.name, vkey)
                 if row is not None:
                     located.append((vkey, row))
@@ -171,10 +170,10 @@ def plan_update_rows(view: ViewDef, update: Update, reader,
         new.update(assignments)
         plan.rows.append((vkey, old, new))
         for idx, ih in indexes:
-            old_ikey = encode_key(tuple(old[a] for a in ih.key_attrs),
-                                  ih.key_types)
-            new_ikey = encode_key(tuple(new[a] for a in ih.key_attrs),
-                                  ih.key_types)
+            new_ikey = key_of(ih, new)
+            if new_ikey is None:
+                continue              # no row in this index before or after
             new_cells = {a: new[a] for a in ih.columns if a in new}
-            plan.index_ops.append((idx.name, old_ikey, new_ikey, new_cells))
+            plan.index_ops.append((idx.name, key_of(ih, old), new_ikey,
+                                   new_cells))
     return plan

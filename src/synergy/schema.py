@@ -313,6 +313,25 @@ class StoreCatalog:
         return list(self.tables.values())
 
 
+def build_catalog(schema: SchemaDef, views=(), indexes=(),
+                  roots=()) -> StoreCatalog:
+    """The catalog of every table, in creation order: the bases, the
+    schema's indexes, ``views`` (viewselect.ViewDef), the extra
+    ``indexes`` over bases or views, and one lock table per root."""
+    catalog = StoreCatalog(schema)
+    for rel in schema.relations.values():
+        catalog.add_base(rel)
+    for idx in schema.indexes:
+        catalog.add_index(idx)
+    for view in views:
+        catalog.add_view(view)
+    for idx in indexes:
+        catalog.add_index(idx)
+    for root in roots:
+        catalog.add_lock_table(root)
+    return catalog
+
+
 @dataclass
 class BaselineResult:
     catalog: StoreCatalog
@@ -370,11 +389,7 @@ def baseline_transform(schema: SchemaDef, workload: list[Statement]) -> Baseline
     updates and deletes); everything else lands in ``rejected``.
     """
     schema.validate()
-    catalog = StoreCatalog(schema)
-    for rel in schema.relations.values():
-        catalog.add_base(rel)
-    for idx in schema.indexes:
-        catalog.add_index(idx)
+    catalog = build_catalog(schema)
     kept: list[Statement] = []
     rejected: list[tuple[Statement, str]] = []
     for stmt in workload:
@@ -393,6 +408,17 @@ def baseline_transform(schema: SchemaDef, workload: list[Statement]) -> Baseline
 
 # -- JSON schema files -------------------------------------------------------
 
+def index_to_dict(idx: IndexDef) -> dict:
+    return {"name": idx.name, "base": idx.base,
+            "attributes": list(idx.attributes),
+            "indexed_on": list(idx.indexed_on)}
+
+
+def index_from_dict(doc: dict) -> IndexDef:
+    return IndexDef(doc["name"], doc["base"], tuple(doc["attributes"]),
+                    tuple(doc["indexed_on"]))
+
+
 def schema_to_dict(schema: SchemaDef) -> dict:
     return {
         "relations": [
@@ -408,12 +434,7 @@ def schema_to_dict(schema: SchemaDef) -> dict:
             }
             for r in schema.relations.values()
         ],
-        "indexes": [
-            {"name": i.name, "base": i.base,
-             "attributes": list(i.attributes),
-             "indexed_on": list(i.indexed_on)}
-            for i in schema.indexes
-        ],
+        "indexes": [index_to_dict(i) for i in schema.indexes],
         "roots": list(schema.roots),
     }
 
@@ -432,10 +453,7 @@ def schema_from_dict(doc: dict) -> SchemaDef:
         if rel.name in relations:
             raise SchemaError(f"duplicate relation {rel.name!r}")
         relations[rel.name] = rel
-    indexes = tuple(
-        IndexDef(i["name"], i["base"], tuple(i["attributes"]),
-                 tuple(i["indexed_on"]))
-        for i in doc.get("indexes", ()))
+    indexes = tuple(index_from_dict(i) for i in doc.get("indexes", ()))
     schema = SchemaDef(relations, indexes, tuple(doc.get("roots", ())))
     schema.validate()
     # resolve referenced primary keys up front

@@ -16,6 +16,7 @@ positionally at execution time.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -25,6 +26,9 @@ from .errors import SqlSyntaxError
 _KEYWORDS = {"select", "from", "where", "and", "as", "insert", "into",
              "values", "update", "set", "delete"}
 _OPS = ("<=", ">=", "=", "<", ">")
+#: each comparison operator's test on (stored value, filter value)
+COMPARE = {"=": operator.eq, "<": operator.lt, ">": operator.gt,
+           "<=": operator.le, ">=": operator.ge}
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
 

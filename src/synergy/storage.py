@@ -11,6 +11,10 @@ joined by 0x1F, strings escaping 0x1B/0x1F with an 0x1B prefix, integers
 as fixed-width big-endian with the sign bit flipped.  Decoding is exact
 for every value; byte order matches tuple order as long as string
 components stay clear of C0 control characters (below 0x20).
+
+``key_of`` is the one rule for the key a row has in a table (base, view
+or index): its ``key_attrs`` values, encoded; a row lacking one of them
+has no row in that table.
 """
 
 from __future__ import annotations
@@ -119,6 +123,16 @@ def prefix_range(values: Iterable, handle: TableHandle) -> tuple[bytes, bytes]:
     return prefix + DELIM, prefix + b"\x20"
 
 
+def key_of(handle: TableHandle, cells: dict) -> bytes | None:
+    """Key of the row ``cells`` in ``handle``'s table, or None when the row
+    lacks one of ``handle.key_attrs`` (it then has no row there)."""
+    try:
+        values = tuple(cells[a] for a in handle.key_attrs)
+    except KeyError:
+        return None
+    return encode_key(values, handle.key_types)
+
+
 # -- tables and store ---------------------------------------------------------
 
 class _Table:
@@ -142,13 +156,6 @@ class Store:
         if handle.name in self._tables:
             raise SchemaError(f"table {handle.name!r} already exists")
         self._tables[handle.name] = _Table(handle)
-
-    def drop_table(self, name: str) -> None:
-        self._table(name)
-        del self._tables[name]
-
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)
@@ -176,20 +183,6 @@ class Store:
         t = self._table(table)
         with t.lock:
             return t.rows.pop(key, None) is not None
-
-    def increment(self, table: str, key: bytes, column: str, delta: int) -> int:
-        t = self._table(table)
-        with t.lock:
-            row = t.rows.get(key)
-            current = 0 if row is None else row.get(column, 0)
-            if not isinstance(current, int) or isinstance(current, bool):
-                raise TypeError(
-                    f"increment on non-integer column {column!r}")
-            new = current + delta
-            fresh = {} if row is None else dict(row)
-            fresh[column] = new
-            t.rows[key] = fresh
-            return new
 
     def check_and_put(self, table: str, key: bytes, column: str,
                       expected, new) -> bool:
@@ -233,11 +226,6 @@ class Store:
 
     def count(self, table: str) -> int:
         return len(self._table(table).rows)
-
-    def clear_table(self, table: str) -> None:
-        t = self._table(table)
-        with t.lock:
-            t.rows.clear()
 
     # -- snapshot persistence ------------------------------------------------
 

@@ -28,10 +28,10 @@ from .maintenance import (build_delete_index_keys, build_insert_view_tuple,
                           validate_update)
 from .schema import (LOCK_COLUMN, StoreCatalog, _write_key_coverage,
                      _write_type_mismatch)
-from .sqlparse import (Delete, Insert, Update, WriteStatement,
+from .sqlparse import (COMPARE, Delete, Insert, Update, WriteStatement,
                        count_placeholders, parse_statement, render_statement)
 from .storage import (ABSENT, DIRTY, Store, decode_text, encode_key,
-                      encode_text)
+                      encode_text, key_of)
 from .viewgen import RootedTree
 from .viewselect import ViewDef
 
@@ -254,9 +254,7 @@ class TransactionManager:
                     edge.src, encode_key(vals, parent_handle.key_types))
                 if current is None:
                     return None
-            rel = self.schema.relation(stmt.relation)
-            vals = tuple(current[a] for a in rel.primary_key)
-            return root, encode_key(vals, root_types)
+            return root, key_of(self.catalog.handle(root), current)
         # delete/update: walk through stored rows
         rel = self.schema.relation(stmt.relation)
         key_vals = key_values_from_filters(stmt, rel.primary_key)
@@ -329,7 +327,6 @@ class TransactionManager:
     # -- insert -----------------------------------------------------------------
 
     def _insert(self, stmt: Insert, txn_id: int, force: bool) -> TxnResult:
-        rel = self.schema.relation(stmt.relation)
         values = stmt.value_map
         result = TxnResult(txn_id, "insert", stmt.relation)
         target = self.resolve_root(stmt)
@@ -341,63 +338,48 @@ class TransactionManager:
         elif self._chain.get(stmt.relation) is not None:
             result.orphan = True
 
-        handle = self.catalog.handle(stmt.relation)
-        base_key = encode_key(
-            tuple(values[a] for a in rel.primary_key), handle.key_types)
+        base_key = key_of(self.catalog.handle(stmt.relation), values)
+        # overwriting an existing row moves its index rows; a view row can
+        # only exist while its base row does
         old = self.store.get(stmt.relation, base_key)
-        if old is not None and old != values:
-            # overwriting an existing row: index rows keyed on changed
-            # attributes would otherwise be stranded at their old keys
-            self._drop_index_rows(stmt.relation, old)
-            for view in self._views_last.get(stmt.relation, ()):
-                vh = self.catalog.handle(view.name)
-                vkey = encode_key(tuple(old[a] for a in view.key),
-                                  vh.key_types)
-                old_view_row = self.store.get(view.name, vkey)
-                if old_view_row is not None:
-                    self._drop_index_rows(view.name, old_view_row)
         self.store.put(stmt.relation, base_key, dict(values))
         result.base_rows = 1
-        result.index_rows += self._put_index_rows(stmt.relation, values)
+        result.index_rows += self._move_index_rows(stmt.relation, old, values)
         for view in self._views_last.get(stmt.relation, ()):
             built = build_insert_view_tuple(view, stmt, self.store,
                                             self.catalog)
-            if built is None:
-                vh = self.catalog.handle(view.name)
-                self.store.delete(view.name, encode_key(
-                    tuple(values[a] for a in view.key), vh.key_types))
+            vkey, cells = built or (
+                key_of(self.catalog.handle(view.name), values), None)
+            old_view = None if old is None else self.store.get(view.name, vkey)
+            if cells is None:
+                self.store.delete(view.name, vkey)
+                self._move_index_rows(view.name, old_view, None)
                 continue
-            vkey, cells = built
             self.store.put(view.name, vkey, cells)
             result.view_rows += 1
-            result.index_rows += self._put_index_rows(view.name, cells)
+            result.index_rows += self._move_index_rows(view.name, old_view,
+                                                       cells)
         if target is not None:
             self.locks.release(root, root_key)
         return result
 
-    def _drop_index_rows(self, base: str, cells: dict) -> None:
+    def _move_index_rows(self, base: str, old: dict | None,
+                         new: dict | None) -> int:
+        """Bring every index of ``base`` from row ``old`` to row ``new``
+        (None: no row).  A key that stays is overwritten in place.
+        Returns the index rows put, or those deleted when ``new`` is None."""
+        put = deleted = 0
         for idx in self.catalog.indexes_of(base):
             ih = self.catalog.handle(idx.name)
-            try:
-                key = encode_key(tuple(cells[a] for a in ih.key_attrs),
-                                 ih.key_types)
-            except KeyError:
-                continue
-            self.store.delete(idx.name, key)
-
-    def _put_index_rows(self, base: str, cells: dict) -> int:
-        count = 0
-        for idx in self.catalog.indexes_of(base):
-            ih = self.catalog.handle(idx.name)
-            try:
-                key = encode_key(tuple(cells[a] for a in ih.key_attrs),
-                                 ih.key_types)
-            except KeyError:
-                continue              # key attribute absent: row not indexable
-            self.store.put(idx.name, key,
-                           {a: cells[a] for a in ih.columns if a in cells})
-            count += 1
-        return count
+            old_key = None if old is None else key_of(ih, old)
+            new_key = None if new is None else key_of(ih, new)
+            if old_key is not None and old_key != new_key:
+                deleted += self.store.delete(idx.name, old_key)
+            if new_key is not None:
+                self.store.put(idx.name, new_key,
+                               {a: new[a] for a in ih.columns if a in new})
+                put += 1
+        return deleted if new is None else put
 
     # -- delete -----------------------------------------------------------------
 
@@ -424,14 +406,8 @@ class TransactionManager:
                 vh = self.catalog.handle(view.name)
                 result.view_rows += self.store.delete(
                     view.name, encode_key(key_vals, vh.key_types))
-            for idx in self.catalog.indexes_of(stmt.relation):
-                ih = self.catalog.handle(idx.name)
-                try:
-                    ikey = encode_key(tuple(old[a] for a in ih.key_attrs),
-                                      ih.key_types)
-                except KeyError:
-                    continue
-                result.index_rows += self.store.delete(idx.name, ikey)
+            result.index_rows += self._move_index_rows(stmt.relation, old,
+                                                       None)
             result.base_rows += self.store.delete(stmt.relation, base_key)
         if target is not None:
             self.locks.release(root, root_key)
@@ -479,6 +455,8 @@ class TransactionManager:
                 marked[DIRTY] = True
                 self.store.put(plan.view, vkey, marked)
             for iname, old_ikey, _, _ in plan.index_ops:
+                if old_ikey is None:
+                    continue
                 iold = self.store.get(iname, old_ikey)
                 if iold is not None:
                     marked = dict(iold)
@@ -490,7 +468,7 @@ class TransactionManager:
         if applies:
             new_base = dict(base_old)
             new_base.update(dict(stmt.assignments))
-            self._update_base_indexes(stmt.relation, base_old, new_base)
+            self._move_index_rows(stmt.relation, base_old, new_base)
             self.store.put(stmt.relation, base_key, new_base)
             result.base_rows = 1
         for plan in plans:
@@ -503,7 +481,7 @@ class TransactionManager:
                 staged = dict(new_cells)
                 staged[DIRTY] = True
                 self.store.put(iname, new_ikey, staged)
-                if new_ikey != old_ikey:
+                if old_ikey is not None and old_ikey != new_ikey:
                     self.store.delete(iname, old_ikey)
                 result.index_rows += 1
         self._crash(4)
@@ -521,21 +499,6 @@ class TransactionManager:
             self.locks.release(root, root_key)
         self._crash(6)
         return result
-
-    def _update_base_indexes(self, relation: str, old: dict, new: dict) -> None:
-        for idx in self.catalog.indexes_of(relation):
-            ih = self.catalog.handle(idx.name)
-            try:
-                old_key = encode_key(tuple(old[a] for a in ih.key_attrs),
-                                     ih.key_types)
-                new_key = encode_key(tuple(new[a] for a in ih.key_attrs),
-                                     ih.key_types)
-            except KeyError:
-                continue
-            if new_key != old_key:
-                self.store.delete(idx.name, old_key)
-            self.store.put(idx.name, new_key,
-                           {a: new[a] for a in ih.columns if a in new})
 
     # -- recovery ------------------------------------------------------------------
 
@@ -560,16 +523,6 @@ class TransactionManager:
 def _row_matches(row: dict, filters) -> bool:
     for f in filters:
         value = row.get(f.ref.name)
-        if value is None:
-            return False
-        if f.op == "=" and not value == f.value:
-            return False
-        if f.op == "<" and not value < f.value:
-            return False
-        if f.op == ">" and not value > f.value:
-            return False
-        if f.op == "<=" and not value <= f.value:
-            return False
-        if f.op == ">=" and not value >= f.value:
+        if value is None or not COMPARE[f.op](value, f.value):
             return False
     return True

@@ -102,10 +102,6 @@ class WorkloadWeights:
             1 for _, pairs in self._queries
             if edge_matches_query(edge, pairs))
 
-    def edge_queries(self, edge: Edge) -> list:
-        return [stmt for stmt, pairs in self._queries
-                if edge_matches_query(edge, pairs)]
-
     def path_weight(self, edges) -> int:
         return sum(self.edge_weight(e) for e in edges)
 

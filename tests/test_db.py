@@ -6,10 +6,10 @@ import pytest
 
 from synergy.db import Database
 from synergy.errors import LockTimeout
-from synergy.fixtures import (company_schema, company_workload,
-                              populate_company, tpcw_micro_schema,
-                              tpcw_micro_workload)
-from synergy.schema import ForeignKey, IndexDef, RelationDef, SchemaDef
+from synergy.fixtures import (FIXTURES, build_fixture, company_schema,
+                              company_workload, populate, populate_company,
+                              tpcw_micro_schema, tpcw_micro_workload)
+from synergy.schema import LOCK, ForeignKey, IndexDef, RelationDef, SchemaDef
 from synergy.sqlparse import parse_statement, parse_workload
 from synergy.storage import encode_key
 from synergy.txn import CrashInjected, read_wal, pending_transactions
@@ -265,6 +265,15 @@ def test_base_table_index_end_to_end():
         report = db.verify()
         assert report.ok, report.describe()
         assert db.store.count("X_Item_title") == 3
+
+        # a row inserted without the indexed attribute gets its index row
+        # when an update sets it
+        db.execute("INSERT INTO Item (I_ID, I_COST) VALUES (5, 50)")
+        db.execute("UPDATE Item SET I_TITLE = 'ada' WHERE I_ID = 5")
+        rows = db.execute("SELECT * FROM Item as i WHERE i.I_TITLE = 'ada'")
+        assert rows == [{"I_ID": 5, "I_TITLE": "ada", "I_COST": 50}]
+        report = db.verify()
+        assert report.ok, report.describe()
     finally:
         db.close()
 
@@ -290,3 +299,28 @@ def test_view_index_key_moves_when_indexed_attribute_updates():
         assert report.ok, report.describe()
     finally:
         db.close()
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_open_assembles_the_catalog_that_create_built(tmp_path, fixture):
+    data_dir = str(tmp_path / "d")
+    db = Database.create(*build_fixture(fixture), data_dir=data_dir)
+    try:
+        populate(db, fixture, scale=4, ratio=2, seed=3)
+        db.save(data_dir)
+    finally:
+        db.close()
+
+    reopened = Database.open(data_dir)
+    try:
+        created, opened = db.catalog, reopened.catalog
+        assert opened.all_handles() == created.all_handles()
+        for name in list(db.schema.relations) + [v.name for v in db.views]:
+            assert opened.indexes_of(name) == created.indexes_of(name)
+        locks = [h.name for h in opened.all_handles() if h.kind == LOCK]
+        assert locks == [h.name for h in created.all_handles()
+                         if h.kind == LOCK]
+        assert locks == ["LK_" + root for root in db.schema.roots]
+        assert reopened.store.table_names() == db.store.table_names()
+    finally:
+        reopened.close()

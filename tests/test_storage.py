@@ -127,29 +127,6 @@ def test_prefix_range_matches_only_extensions():
     assert got == [2]
 
 
-def test_increment_is_atomic_across_threads():
-    store, _ = make_store()
-    n, per = 4, 500
-
-    def bump():
-        for _ in range(per):
-            store.increment("T", k(1), "v", 1)
-
-    threads = [threading.Thread(target=bump) for _ in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert store.get("T", k(1))["v"] == n * per
-
-
-def test_increment_rejects_non_integer():
-    store, _ = make_store()
-    store.put("T", k(1), {"v": "text"})
-    with pytest.raises(TypeError):
-        store.increment("T", k(1), "v", 1)
-
-
 def test_check_and_put_basics():
     store, _ = make_store(columns=("lock_status",))
     # absent row: only the ABSENT marker matches
@@ -232,9 +209,6 @@ def _sequentially_consistent(history):
             return arg, None
         if op == "get":
             return value, value
-        if op == "incr":
-            new = (value or 0) + arg
-            return new, new
         if op == "cas":
             expected, new = arg
             current = ABSENT if value is None else value
@@ -279,7 +253,9 @@ def test_single_key_history_is_linearizable():
         for j in range(3):
             which = (seed + j) % 3
             if which == 0:
-                record("incr", 1, lambda: store.increment("T", k(1), "v", 1))
+                value = seed * 10 + j + 1
+                record("put", value,
+                       lambda: store.put("T", k(1), {"v": value}))
             elif which == 1:
                 record("cas", (ABSENT, 10),
                        lambda: store.check_and_put("T", k(1), "v", ABSENT, 10))

@@ -6,7 +6,9 @@ import pytest
 from synergy.db import Database
 from synergy.errors import (LockTimeout, OrphanError, SchemaError,
                             UnsupportedUpdate, WalCorruptionError)
-from synergy.fixtures import tpcw_micro_schema, tpcw_micro_workload
+from synergy.fixtures import (company_schema, company_workload,
+                              populate_company, tpcw_micro_schema,
+                              tpcw_micro_workload)
 from synergy.schema import LOCK_COLUMN
 from synergy.sqlparse import parse_statement
 from synergy.storage import DIRTY, encode_key
@@ -445,3 +447,42 @@ def test_reinsert_pointing_at_missing_parent_drops_view_row(db):
     report = db.verify()
     assert report.ok, report.describe()
     assert db.store.count("V_Customer_Order_Order_line") == 0
+
+
+# -- rows lacking an indexed attribute ---------------------------------------------
+
+@pytest.fixture()
+def hourless_db(tmp_path):
+    """Company database holding one Works_On row without ``Hours``, the
+    attribute X_V_Employee_Works_On_Hours is keyed on."""
+    database = Database.create(company_schema(), company_workload(),
+                               data_dir=str(tmp_path / "company"),
+                               lock_timeout=0.3)
+    populate_company(database, employees=5)
+    database.execute("INSERT INTO Works_On (WO_EID, WO_PNo) VALUES (1, 99)")
+    yield database
+    database.close()
+
+
+def assert_settled(db):
+    report = db.verify()
+    assert report.ok, report.describe()
+    assert pending_transactions(read_wal(db.wal.path)) == []
+    # the Address root lock was released: the next write on it goes through
+    db.execute("UPDATE Employee SET ESalary = 5 WHERE EID = 1")
+
+
+def test_update_sets_the_view_indexed_attribute_a_row_lacked(hourless_db):
+    db = hourless_db
+    db.execute("UPDATE Works_On SET Hours = 7 WHERE WO_EID = 1 AND WO_PNo = 99")
+    indexed = [c for _, c in db.store.scan("X_V_Employee_Works_On_Hours")
+               if (c["WO_EID"], c["WO_PNo"]) == (1, 99)]
+    assert [c["Hours"] for c in indexed] == [7]
+    assert_settled(db)
+
+
+def test_delete_of_a_row_lacking_the_view_indexed_attribute(hourless_db):
+    db = hourless_db
+    result = db.execute("DELETE FROM Works_On WHERE WO_EID = 1 AND WO_PNo = 99")
+    assert (result.base_rows, result.view_rows) == (1, 1)
+    assert_settled(db)
