@@ -42,6 +42,17 @@ def key_values_from_filters(stmt, primary_key: tuple[str, ...]) -> tuple:
             f"statement does not pin key attribute {e.args[0]!r}") from None
 
 
+def parent_key(edge, row: dict, catalog: StoreCatalog) -> bytes | None:
+    """Key of ``row``'s parent along the tree edge ``edge`` (in the
+    ``edge.src`` table), or None when the row lacks a foreign-key attribute:
+    one step of every upward walk."""
+    try:
+        values = tuple(row[a] for a in edge.fk)
+    except KeyError:
+        return None
+    return encode_key(values, catalog.handle(edge.src).key_types)
+
+
 def build_insert_view_tuple(view: ViewDef, insert: Insert, reader,
                             catalog: StoreCatalog):
     """View row for a base insert, or None when an ancestor row is missing
@@ -51,19 +62,12 @@ def build_insert_view_tuple(view: ViewDef, insert: Insert, reader,
                          f"apply to {view.name}")
     values = insert.value_map
     collected = [values]
-    current = values
     for edge in reversed(view.edges):
-        parent_handle = catalog.handle(edge.src)
-        try:
-            key_vals = tuple(current[a] for a in edge.fk)
-        except KeyError:
-            return None
-        parent = reader.get(edge.src, encode_key(key_vals,
-                                                 parent_handle.key_types))
+        key = parent_key(edge, collected[-1], catalog)
+        parent = None if key is None else reader.get(edge.src, key)
         if parent is None:
             return None
         collected.append(parent)
-        current = parent
     cells: dict = {}
     for row in reversed(collected):
         for attr, value in row.items():

@@ -2,14 +2,22 @@
 
 Every write transaction holds at most one lock: the lock-table row of the
 root relation covering its target (none when the relation is outside every
-rooted tree).  Inserts and deletes apply one row each to the base table,
-the applicable views, and their indexes between acquire and release.
-Updates run the six-step procedure: lock, read, mark, update, un-mark,
-release; readers seeing a marked row re-scan.
+rooted tree).  One scope takes it and gives it up exactly when the WAL
+resolves the write: on success and on a ``SynergyError`` (raised before any
+mutation).  Any other exception, an injected crash included, leaves the
+write half-applied with its begin record pending, so the lock stays held
+until recovery replays it; releasing it earlier would let a later write
+commit and then be overwritten by that replay.  A delete of a root row
+gives its lock up by deleting the lock row.  Inserts and deletes apply one
+row each to the base table, the applicable views, and their indexes while
+the lock is held.  Updates run the six-step procedure: lock, read, mark,
+update, un-mark, release; readers seeing a marked row re-scan.
 
 The WAL records (txn id, phase, statement text) with a begin before the
-mutations and a commit after; recovery re-executes every begin without a
-commit (the procedures are idempotent), then releases its lock.
+mutations and a commit after.  Recovery applies the same admission as
+``execute_write``, then re-executes every begin without a commit (the
+procedures are idempotent); a statement refused or failing there is
+reported aborted.  Either way it gets its commit record.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from dataclasses import dataclass, field
 from .errors import (LockTimeout, OrphanError, SchemaError, SynergyError,
                      WalCorruptionError)
 from .maintenance import (build_delete_index_keys, build_insert_view_tuple,
-                          key_values_from_filters, plan_update_rows,
-                          validate_update)
+                          key_values_from_filters, parent_key,
+                          plan_update_rows, validate_update)
 from .schema import (LOCK_COLUMN, StoreCatalog, _write_key_coverage,
                      _write_type_mismatch)
 from .sqlparse import (COMPARE, Delete, Insert, Update, WriteStatement,
@@ -163,8 +171,6 @@ class LockManager:
         table = self._table(root)
         if self.store.check_and_put(table, key, LOCK_COLUMN, True, False):
             return
-        if self.store.get(table, key) is None:
-            return                    # root row deleted concurrently
         raise SynergyError(f"released a lock not held on {root}")
 
     def remove(self, root: str, key: bytes) -> None:
@@ -220,7 +226,6 @@ class TransactionManager:
                 path = tree.path_from_root(node)
                 edges = tuple(tree.parent_edge(n) for n in path[1:])
                 self._chain[node] = (tree.root, edges)
-        self._roots = {tree.root for tree in trees}
         self._views_last: dict[str, list[ViewDef]] = {}
         self._views_containing: dict[str, list[ViewDef]] = {}
         for view in views:
@@ -230,73 +235,63 @@ class TransactionManager:
 
     # -- root resolution ---------------------------------------------------
 
+    def _row_key(self, stmt) -> bytes:
+        """Key of the written row in its base table: from an insert's
+        values, from a delete's or update's key filters."""
+        handle = self.catalog.handle(stmt.relation)
+        if isinstance(stmt, Insert):
+            return key_of(handle, stmt.value_map)
+        rel = self.schema.relation(stmt.relation)
+        return encode_key(key_values_from_filters(stmt, rel.primary_key),
+                          handle.key_types)
+
     def resolve_root(self, stmt) -> tuple[str, bytes] | None:
         """Root relation and encoded root key covering this write, or None
         when the relation is in no rooted tree or an insert's ancestor
-        chain is broken (then no view row can exist either)."""
+        chain is broken (then no view row can exist either); a delete or
+        update with a broken chain raises OrphanError.  The walk reads every
+        ancestor below the root, never the root row."""
         chain = self._chain.get(stmt.relation)
         if chain is None:
             return None
         root, edges = chain
-        root_types = self.catalog.handle(root).key_types
-        if isinstance(stmt, Insert):
-            current = stmt.value_map
-            for i in range(len(edges) - 1, -1, -1):
-                edge = edges[i]
-                try:
-                    vals = tuple(current[a] for a in edge.fk)
-                except KeyError:
-                    return None
-                if i == 0:
-                    return root, encode_key(vals, root_types)
-                parent_handle = self.catalog.handle(edge.src)
-                current = self.store.get(
-                    edge.src, encode_key(vals, parent_handle.key_types))
-                if current is None:
-                    return None
-            return root, key_of(self.catalog.handle(root), current)
-        # delete/update: walk through stored rows
-        rel = self.schema.relation(stmt.relation)
-        key_vals = key_values_from_filters(stmt, rel.primary_key)
         if not edges:
-            return root, encode_key(key_vals, root_types)
-        handle = self.catalog.handle(stmt.relation)
-        current = self.store.get(stmt.relation,
-                                 encode_key(key_vals, handle.key_types))
-        if current is None:
-            raise OrphanError(f"{stmt.relation} row {key_vals!r} is absent")
-        for i in range(len(edges) - 1, -1, -1):
-            edge = edges[i]
-            try:
-                vals = tuple(current[a] for a in edge.fk)
-            except KeyError:
-                raise OrphanError(
-                    f"{edge.dst} row lacks foreign key {edge.fk_name}") from None
-            if i == 0:
-                return root, encode_key(vals, root_types)
-            parent_handle = self.catalog.handle(edge.src)
-            current = self.store.get(
-                edge.src, encode_key(vals, parent_handle.key_types))
-            if current is None:
-                raise OrphanError(f"ancestor {edge.src} row "
-                                  f"{vals!r} is absent")
-        raise AssertionError("unreachable")
+            return root, self._row_key(stmt)
+        row = (stmt.value_map if isinstance(stmt, Insert)
+               else self.store.get(stmt.relation, self._row_key(stmt)))
+        for edge in reversed(edges):
+            key = None if row is None else parent_key(edge, row, self.catalog)
+            if key is None or edge is edges[0]:
+                break
+            row = self.store.get(edge.src, key)
+        if key is not None:
+            return root, key
+        if isinstance(stmt, Insert):
+            return None
+        raise OrphanError(f"{edge.dst} row is absent or lacks foreign key "
+                          f"{edge.fk_name}")
 
     # -- entry point ----------------------------------------------------------
 
-    def execute_write(self, stmt) -> TxnResult:
-        if not isinstance(stmt, WriteStatement):
-            raise ValueError(f"not a write statement: {stmt!r}")
-        if count_placeholders(stmt):
-            raise ValueError("bind parameters before executing")
-        # admission runs before the begin record and the root lock: a value
-        # the key encoder would reject leaves neither behind
+    def _admit(self, stmt) -> None:
+        """Refuse a statement the write procedures would fail on: a key it
+        does not name, a value its attribute's declared type rejects (the
+        key encoder's rule), an update of a key or foreign-key attribute."""
         reason = (_write_key_coverage(self.schema, stmt)
                   or _write_type_mismatch(self.schema, stmt))
         if reason is not None:
             raise SchemaError(f"statement not admissible: {reason}")
         if isinstance(stmt, Update):
             validate_update(stmt, self.schema)
+
+    def execute_write(self, stmt) -> TxnResult:
+        if not isinstance(stmt, WriteStatement):
+            raise ValueError(f"not a write statement: {stmt!r}")
+        if count_placeholders(stmt):
+            raise ValueError("bind parameters before executing")
+        # admission runs before the begin record and the root lock: a
+        # refused statement leaves neither behind
+        self._admit(stmt)
         text = render_statement(stmt)
         # id assignment and the begin record must land in the same order
         with self._begin_mutex:
@@ -312,33 +307,58 @@ class TransactionManager:
         return result
 
     def _run(self, stmt, txn_id: int, force_locks: bool = False) -> TxnResult:
+        """The one lock scope of every write (``force_locks``: recovery
+        takes the lock whatever its state)."""
         if isinstance(stmt, Insert):
-            return self._insert(stmt, txn_id, force_locks)
-        if isinstance(stmt, Delete):
-            return self._delete(stmt, txn_id, force_locks)
-        return self._update(stmt, txn_id, force_locks)
-
-    def _acquire(self, root: str, key: bytes, force: bool) -> None:
-        if force:
-            self.locks.force_acquire(root, key)
+            kind, body = "insert", self._insert
+        elif isinstance(stmt, Delete):
+            kind, body = "delete", self._delete
         else:
-            self.locks.acquire(root, key)
+            kind, body = "update", self._update
+        result = TxnResult(txn_id, kind, stmt.relation)
+        target = self.resolve_root(stmt)
+        if target is None:
+            # in a tree yet unresolved: an insert with a broken chain
+            result.orphan = stmt.relation in self._chain
+        else:
+            root, root_key = target
+            if force_locks:
+                self.locks.force_acquire(root, root_key)
+            else:
+                self.locks.acquire(root, root_key)
+            result.root = root
+            result.locks_acquired = 1
+        try:
+            body(stmt, result)
+        except SynergyError:
+            # refused before any mutation: the log resolves it, so let go
+            self._let_go(stmt, target)
+            raise
+        # any other exception (an injected crash included) leaves the write
+        # half-applied and its begin record pending: the lock stays held
+        # until recovery replays it, so no later write on this root can
+        # commit before that replay and be overwritten by it
+        self._let_go(stmt, target)
+        if kind == "update":
+            self._crash(6)
+        return result
+
+    def _let_go(self, stmt, target: tuple[str, bytes] | None) -> None:
+        if target is None:
+            return
+        root, root_key = target
+        if isinstance(stmt, Delete) and stmt.relation == root:
+            # deleting the lock row frees it in one store call; a release
+            # first would let a waiter take a doomed row
+            self.locks.remove(root, root_key)
+        else:
+            self.locks.release(root, root_key)
 
     # -- insert -----------------------------------------------------------------
 
-    def _insert(self, stmt: Insert, txn_id: int, force: bool) -> TxnResult:
+    def _insert(self, stmt: Insert, result: TxnResult) -> None:
         values = stmt.value_map
-        result = TxnResult(txn_id, "insert", stmt.relation)
-        target = self.resolve_root(stmt)
-        if target is not None:
-            root, root_key = target
-            self._acquire(root, root_key, force)
-            result.root = root
-            result.locks_acquired = 1
-        elif self._chain.get(stmt.relation) is not None:
-            result.orphan = True
-
-        base_key = key_of(self.catalog.handle(stmt.relation), values)
+        base_key = self._row_key(stmt)
         # overwriting an existing row moves its index rows; a view row can
         # only exist while its base row does
         old = self.store.get(stmt.relation, base_key)
@@ -359,9 +379,6 @@ class TransactionManager:
             result.view_rows += 1
             result.index_rows += self._move_index_rows(view.name, old_view,
                                                        cells)
-        if target is not None:
-            self.locks.release(root, root_key)
-        return result
 
     def _move_index_rows(self, base: str, old: dict | None,
                          new: dict | None) -> int:
@@ -383,19 +400,8 @@ class TransactionManager:
 
     # -- delete -----------------------------------------------------------------
 
-    def _delete(self, stmt: Delete, txn_id: int, force: bool) -> TxnResult:
-        rel = self.schema.relation(stmt.relation)
-        key_vals = key_values_from_filters(stmt, rel.primary_key)
-        result = TxnResult(txn_id, "delete", stmt.relation)
-        target = self.resolve_root(stmt)
-        if target is not None:
-            root, root_key = target
-            self._acquire(root, root_key, force)
-            result.root = root
-            result.locks_acquired = 1
-
-        handle = self.catalog.handle(stmt.relation)
-        base_key = encode_key(key_vals, handle.key_types)
+    def _delete(self, stmt: Delete, result: TxnResult) -> None:
+        base_key = self._row_key(stmt)
         old = self.store.get(stmt.relation, base_key)
         if old is not None and _row_matches(old, stmt.filters):
             # views and their indexes first so a replay still sees the base row
@@ -403,17 +409,11 @@ class TransactionManager:
                 for iname, ikey in build_delete_index_keys(
                         view, stmt, self.store, self.catalog):
                     result.index_rows += self.store.delete(iname, ikey)
-                vh = self.catalog.handle(view.name)
                 result.view_rows += self.store.delete(
-                    view.name, encode_key(key_vals, vh.key_types))
+                    view.name, key_of(self.catalog.handle(view.name), old))
             result.index_rows += self._move_index_rows(stmt.relation, old,
                                                        None)
             result.base_rows += self.store.delete(stmt.relation, base_key)
-        if target is not None:
-            self.locks.release(root, root_key)
-            if stmt.relation == root:
-                self.locks.remove(root, root_key)
-        return result
 
     # -- update (six steps) --------------------------------------------------------
 
@@ -422,24 +422,13 @@ class TransactionManager:
             self.crash_after_update_step = None
             raise CrashInjected(f"crash injected after update step {step}")
 
-    def _update(self, stmt: Update, txn_id: int, force: bool) -> TxnResult:
-        validate_update(stmt, self.schema)
-        rel = self.schema.relation(stmt.relation)
-        key_vals = key_values_from_filters(stmt, rel.primary_key)
-        result = TxnResult(txn_id, "update", stmt.relation)
-
-        # step 1: acquire the root lock
-        target = self.resolve_root(stmt)
-        if target is not None:
-            root, root_key = target
-            self._acquire(root, root_key, force)
-            result.root = root
-            result.locks_acquired = 1
+    def _update(self, stmt: Update, result: TxnResult) -> None:
+        """Steps 2 to 5; ``_run`` takes the lock (step 1) and gives it up
+        (step 6)."""
         self._crash(1)
 
         # step 2: read every row to be updated
-        handle = self.catalog.handle(stmt.relation)
-        base_key = encode_key(key_vals, handle.key_types)
+        base_key = self._row_key(stmt)
         base_old = self.store.get(stmt.relation, base_key)
         applies = base_old is not None and _row_matches(base_old, stmt.filters)
         plans = []
@@ -494,12 +483,6 @@ class TransactionManager:
                 self.store.put(iname, new_ikey, dict(new_cells))
         self._crash(5)
 
-        # step 6: release the lock
-        if target is not None:
-            self.locks.release(root, root_key)
-        self._crash(6)
-        return result
-
     # -- recovery ------------------------------------------------------------------
 
     def recover(self) -> RecoveryReport:
@@ -511,6 +494,7 @@ class TransactionManager:
         for record in pending_transactions(records):
             stmt = parse_statement(record.statement)
             try:
+                self._admit(stmt)
                 self._run(stmt, record.txn_id, force_locks=True)
                 report.replayed.append((record.txn_id, record.statement))
             except SynergyError as exc:

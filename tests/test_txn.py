@@ -72,6 +72,17 @@ def test_resolve_root_orphan_delete_raises(db):
     with pytest.raises(OrphanError):
         db.txn.resolve_root(parse_statement(
             "DELETE FROM Order_line WHERE OL_ID = 12345"))
+    # stored lines whose walk breaks one step up: the Order is absent, or
+    # the line has no OL_O_ID at all
+    db.execute("INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
+               "VALUES (7, 999, 1, 1)")
+    db.execute("INSERT INTO Order_line (OL_ID, OL_I_ID, OL_QTY) "
+               "VALUES (8, 1, 1)")
+    for line in (7, 8):
+        for text in (f"DELETE FROM Order_line WHERE OL_ID = {line}",
+                     f"UPDATE Order_line SET OL_QTY = 2 WHERE OL_ID = {line}"):
+            with pytest.raises(OrphanError):
+                db.txn.resolve_root(parse_statement(text))
 
 
 def test_orphan_insert_takes_no_lock_and_writes_base_only(db):
@@ -214,6 +225,129 @@ def test_mistyped_key_is_rejected_before_the_lock(db):
     assert db.verify().locks_held == 0
     db.execute("UPDATE Customer SET C_BALANCE = 3 WHERE C_ID = 1")
     assert db.verify().ok
+
+
+@pytest.mark.parametrize("under_lock, text, follow_up, row", [
+    ("plan_update_rows", "UPDATE Order SET O_STATUS = 'x' WHERE O_ID = 1",
+     "UPDATE Order SET O_STATUS = 'y' WHERE O_ID = 1",
+     ("Order", 1, "O_STATUS", "y")),
+    ("build_delete_index_keys", "DELETE FROM Order_line WHERE OL_ID = 1",
+     "UPDATE Order_line SET OL_QTY = 9 WHERE OL_ID = 1",
+     ("Order_line", 1, "OL_QTY", 9)),
+])
+def test_refusal_under_the_lock_lets_the_lock_go(db, tmp_path, monkeypatch,
+                                                 under_lock, text, follow_up,
+                                                 row):
+    seed_rows(db, customers=1, orders=1, lines=1)
+    db.txn.locks.timeout = 0.3
+
+    def refuse(*args, **kwargs):
+        raise SchemaError("refused before any mutation")
+
+    monkeypatch.setattr(f"synergy.txn.{under_lock}", refuse)
+    with pytest.raises(SchemaError):
+        db.execute(text)
+    monkeypatch.undo()
+    # the commit record resolves the write, so its lock is free
+    assert not db.txn.locks.held("Customer", key_of(1))
+    assert pending_transactions(read_wal(db.wal.path)) == []
+    db.execute(follow_up)
+    db.save(str(tmp_path / "copy"))
+    reopened = Database.open(str(tmp_path / "copy"))
+    try:
+        assert reopened.recovery.replayed == []
+        relation, key, attr, value = row
+        assert reopened.store.get(relation, key_of(key))[attr] == value
+        report = reopened.verify()
+        assert report.ok, report.describe()
+    finally:
+        reopened.close()
+
+
+@pytest.mark.parametrize("under_lock, text, follow_up, row", [
+    ("build_insert_view_tuple", "INSERT INTO Order_line (OL_ID, OL_O_ID, "
+                                "OL_I_ID, OL_QTY) VALUES (90, 1, 1, 1)",
+     "INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
+     "VALUES (90, 1, 1, 9)",
+     ("Order_line", 90, "OL_QTY", 9)),
+    ("plan_update_rows", "UPDATE Order SET O_STATUS = 'x' WHERE O_ID = 1",
+     "UPDATE Order SET O_STATUS = 'y' WHERE O_ID = 1",
+     ("Order", 1, "O_STATUS", "y")),
+    ("build_delete_index_keys", "DELETE FROM Order_line WHERE OL_ID = 1",
+     "INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
+     "VALUES (1, 1, 1, 9)",
+     ("Order_line", 1, "OL_QTY", 9)),
+])
+def test_failure_under_the_lock_holds_it_for_recovery(db, tmp_path,
+                                                      monkeypatch, under_lock,
+                                                      text, follow_up, row):
+    seed_rows(db, customers=1, orders=1, lines=1)
+    db.txn.locks.timeout = 0.3
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("not a SynergyError")
+
+    monkeypatch.setattr(f"synergy.txn.{under_lock}", fail)
+    with pytest.raises(RuntimeError):
+        db.execute(text)
+    monkeypatch.undo()
+    # no commit record: the next open replays the write, so no write on
+    # the same row may commit before that replay
+    assert db.txn.locks.held("Customer", key_of(1))
+    assert len(pending_transactions(read_wal(db.wal.path))) == 1
+    with pytest.raises(LockTimeout):
+        db.execute(follow_up)
+    db.save(str(tmp_path / "copy"))
+    reopened = Database.open(str(tmp_path / "copy"))
+    try:
+        assert len(reopened.recovery.replayed) == 1
+        assert not reopened.txn.locks.held("Customer", key_of(1))
+        reopened.execute(follow_up)
+        reopened.save(str(tmp_path / "again"))
+    finally:
+        reopened.close()
+    again = Database.open(str(tmp_path / "again"))
+    try:
+        assert again.recovery.replayed == []
+        relation, key, attr, value = row
+        assert again.store.get(relation, key_of(key))[attr] == value
+        report = again.verify()
+        assert report.ok, report.describe()
+    finally:
+        again.close()
+
+
+def test_root_delete_frees_its_lock_in_one_step(db, monkeypatch):
+    db.execute("INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) "
+               "VALUES (5, 'u', 0)")
+    store, locks = db.store, db.txn.locks
+    check_and_put, delete = store.check_and_put, store.delete
+    waiter = []
+
+    def waiter_takes_the_freed_lock(table, key):
+        if table == "LK_Customer" and key == key_of(5) and not waiter:
+            waiter.append(key)
+            locks.acquire("Customer", key_of(5))
+
+    def freeing_check_and_put(table, key, column, expected, new):
+        landed = check_and_put(table, key, column, expected, new)
+        if landed and new is False:
+            waiter_takes_the_freed_lock(table, key)
+        return landed
+
+    def freeing_delete(table, key):
+        gone = delete(table, key)
+        waiter_takes_the_freed_lock(table, key)
+        return gone
+
+    monkeypatch.setattr(store, "check_and_put", freeing_check_and_put)
+    monkeypatch.setattr(store, "delete", freeing_delete)
+    db.execute("DELETE FROM Customer WHERE C_ID = 5")
+    assert waiter
+    # the waiter holds Customer 5: nobody else may take it too
+    locks.timeout = 0.2
+    with pytest.raises(LockTimeout):
+        locks.acquire("Customer", key_of(5))
 
 
 def test_verify_fails_on_a_stranded_lock(db):
@@ -384,6 +518,28 @@ def test_recover_resolves_failed_statement_as_aborted(db):
     report = manager_like(db).recover()
     assert len(report.aborted) == 1
     assert pending_transactions(read_wal(db.wal.path)) == []
+
+
+def test_recovery_aborts_a_logged_statement_admission_refuses(db, tmp_path):
+    seed_rows(db, customers=1, orders=1, lines=0)
+    high = wal_high_water(read_wal(db.wal.path))
+    db.wal.append(high + 1, PHASE_BEGIN,
+                  "UPDATE Order SET O_TOTAL = 1 WHERE O_ID = 'x'")
+    db.wal.append(high + 2, PHASE_BEGIN,
+                  "INSERT INTO Order (O_ID, O_C_ID, O_STATUS, O_TOTAL) "
+                  "VALUES ('x', 1, 's', 9)")
+    db.save(str(tmp_path / "copy"))
+    reopened = Database.open(str(tmp_path / "copy"), lock_timeout=0.3)
+    try:
+        assert [a[0] for a in reopened.recovery.aborted] == [high + 1,
+                                                             high + 2]
+        assert reopened.recovery.replayed == []
+        assert pending_transactions(read_wal(reopened.wal.path)) == []
+        report = reopened.verify()
+        assert report.locks_held == 0
+        assert report.ok, report.describe()
+    finally:
+        reopened.close()
 
 
 def test_recovered_insert_is_idempotent(db):
