@@ -44,14 +44,12 @@ PIPELINE_FILE = "pipeline.json"
 
 def _tree_to_dict(tree: RootedTree) -> dict:
     return {"root": tree.root, "nodes": list(tree.nodes),
-            "edges": [[e.src, e.dst, list(e.pk), e.fk_name, list(e.fk)]
-                      for e in tree.edges]}
+            "edges": [e.to_list() for e in tree.edges]}
 
 
 def _tree_from_dict(doc: dict) -> RootedTree:
     return RootedTree(doc["root"], tuple(doc["nodes"]),
-                      tuple(Edge(s, d, tuple(pk), fkn, tuple(fk))
-                            for s, d, pk, fkn, fk in doc["edges"]))
+                      tuple(Edge.from_list(e) for e in doc["edges"]))
 
 
 @dataclass

@@ -206,10 +206,9 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
     for alias in order:
         handle = handles[alias]
         prefix_len, key_exprs, scan_table, _ = best_access(alias, placed)
-        prefix_attrs = set(
-            catalog.handle(scan_table).key_attrs[:prefix_len])
         # drop only the exact predicate the key prefix consumed; a second,
-        # contradictory filter on the same attribute must keep filtering
+        # contradictory filter or join on the same attribute must keep
+        # filtering
         consumed_exprs = dict(zip(
             catalog.handle(scan_table).key_attrs[:prefix_len], key_exprs))
         residual = [p for p in filters[alias]
@@ -228,10 +227,7 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
             if mine is None:
                 continue
             consumed_joins.add(j)
-            if not (mine.attr in prefix_attrs and
-                    isinstance(mine.expr, OuterRef)):
-                residual.append(mine)
-            elif mine.expr not in key_exprs:
+            if consumed_exprs.get(mine.attr) != mine.expr:
                 residual.append(mine)
         # hash an unbound step only when an earlier step can yield several
         # rows; a step visited once gains nothing from a build

@@ -1,11 +1,12 @@
-"""View-maintenance planning: applicability tests and tuple/key construction.
+"""View-maintenance planning: applicability tests and view-row construction.
 
 All functions here only read through the supplied reader (anything with
-``get``/``scan``); mutation is the transaction layer's job.  Inserts and
-deletes apply to a view only when the written relation is the view's last
-relation; updates apply whenever the relation occurs in the view.  Inserts
-construct the view tuple by walking the foreign keys upward, one read per
-ancestor relation.
+``get``/``scan``) and plan view rows only; the index rows those rows imply,
+and every mutation, are the transaction layer's job.  Inserts and deletes
+apply to a view only when the written relation is the view's last relation;
+updates apply whenever the relation occurs in the view.  Inserts construct
+the view tuple by walking the foreign keys upward, one read per ancestor
+relation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import SchemaError, UnsupportedUpdate
 from .schema import StoreCatalog
-from .sqlparse import Delete, Insert, Update
+from .sqlparse import Insert, Update
 from .storage import DIRTY, encode_key, key_of, prefix_range
 from .viewselect import ViewDef
 
@@ -76,35 +77,11 @@ def build_insert_view_tuple(view: ViewDef, insert: Insert, reader,
     return key_of(catalog.handle(view.name), values), cells
 
 
-def build_delete_index_keys(view: ViewDef, delete: Delete, reader,
-                            catalog: StoreCatalog) -> list[tuple[str, bytes]]:
-    """Index keys to delete alongside a view row: read the view row by the
-    base key, then take each view-index key from its cells (none for an
-    index whose key attribute the row lacks)."""
-    if not delete_applies(view, delete.relation):
-        raise ValueError(f"delete from {delete.relation} does not "
-                         f"apply to {view.name}")
-    view_handle = catalog.handle(view.name)
-    key_vals = key_values_from_filters(delete, view.key)
-    row = reader.get(view.name, encode_key(key_vals, view_handle.key_types))
-    if row is None:
-        return []
-    out = []
-    for idx in catalog.indexes_of(view.name):
-        ikey = key_of(catalog.handle(idx.name), row)
-        if ikey is not None:
-            out.append((idx.name, ikey))
-    return out
-
-
 @dataclass
 class UpdatePlan:
     view: str
+    #: (view key, stored row, replacement cells) per view row touched
     rows: list[tuple[bytes, dict, dict]] = field(default_factory=list)
-    #: (index table, old key or None when the old row had none, new key,
-    #: new cells)
-    index_ops: list[tuple[str, bytes | None, bytes, dict]] = field(
-        default_factory=list)
 
 
 def validate_update(update: Update, schema) -> None:
@@ -127,7 +104,7 @@ def validate_update(update: Update, schema) -> None:
 def plan_update_rows(view: ViewDef, update: Update, reader,
                      catalog: StoreCatalog) -> UpdatePlan:
     """Locate the view rows touched by a base-table update and compute
-    their replacement cells plus the matching view-index operations.
+    their replacement cells.
 
     Rows are found via the view key when the updated relation is last,
     else via a view-index keyed on the relation's primary key, else by a
@@ -167,17 +144,8 @@ def plan_update_rows(view: ViewDef, update: Update, reader,
                     located.append((vkey, row))
 
     plan = UpdatePlan(view.name)
-    indexes = [(idx, catalog.handle(idx.name))
-               for idx in catalog.indexes_of(view.name)]
     for vkey, old in located:
         new = {a: v for a, v in old.items() if a != DIRTY}
         new.update(assignments)
         plan.rows.append((vkey, old, new))
-        for idx, ih in indexes:
-            new_ikey = key_of(ih, new)
-            if new_ikey is None:
-                continue              # no row in this index before or after
-            new_cells = {a: new[a] for a in ih.columns if a in new}
-            plan.index_ops.append((idx.name, key_of(ih, old), new_ikey,
-                                   new_cells))
     return plan

@@ -45,12 +45,6 @@ class RelationDef:
     def attr_types(self) -> dict[str, str]:
         return dict(self.attributes)
 
-    def type_of(self, attr: str) -> str:
-        for a, t in self.attributes:
-            if a == attr:
-                return t
-        raise SchemaError(f"relation {self.name} has no attribute {attr!r}")
-
 
 @dataclass(frozen=True)
 class IndexDef:
@@ -148,17 +142,20 @@ class Edge:
         return (f"{self.src} -> {self.dst} "
                 f"({', '.join(self.pk)} -> {', '.join(self.fk)})")
 
+    def to_list(self) -> list:
+        """JSON form: [src, dst, pk, fk name, fk]."""
+        return [self.src, self.dst, list(self.pk), self.fk_name, list(self.fk)]
+
+    @classmethod
+    def from_list(cls, doc: list) -> "Edge":
+        src, dst, pk, fk_name, fk = doc
+        return cls(src, dst, tuple(pk), fk_name, tuple(fk))
+
 
 @dataclass(frozen=True)
 class SchemaGraph:
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
-
-    def out_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == node]
-
-    def in_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.dst == node]
 
 
 def build_schema_graph(schema: SchemaDef) -> SchemaGraph:

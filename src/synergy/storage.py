@@ -136,10 +136,9 @@ def key_of(handle: TableHandle, cells: dict) -> bytes | None:
 # -- tables and store ---------------------------------------------------------
 
 class _Table:
-    __slots__ = ("handle", "rows", "lock")
+    __slots__ = ("rows", "lock")
 
-    def __init__(self, handle: TableHandle):
-        self.handle = handle
+    def __init__(self):
         self.rows = SortedDict()
         self.lock = threading.Lock()
 
@@ -155,13 +154,10 @@ class Store:
     def create_table(self, handle: TableHandle) -> None:
         if handle.name in self._tables:
             raise SchemaError(f"table {handle.name!r} already exists")
-        self._tables[handle.name] = _Table(handle)
+        self._tables[handle.name] = _Table()
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)
-
-    def handle(self, name: str) -> TableHandle:
-        return self._table(name).handle
 
     def _table(self, name: str) -> _Table:
         try:

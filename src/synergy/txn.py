@@ -8,16 +8,28 @@ mutation).  Any other exception, an injected crash included, leaves the
 write half-applied with its begin record pending, so the lock stays held
 until recovery replays it; releasing it earlier would let a later write
 commit and then be overwritten by that replay.  A delete of a root row
-gives its lock up by deleting the lock row.  Inserts and deletes apply one
-row each to the base table, the applicable views, and their indexes while
-the lock is held.  Updates run the six-step procedure: lock, read, mark,
-update, un-mark, release; readers seeing a marked row re-scan.
+gives its lock up by deleting the lock row.
+
+Every write changes rows by one move rule: a row of a base table or view
+going from an old row to a new one (or from or to no row) writes each of
+its index rows, keyed and projected from the row, and then the row itself;
+an index row whose key changed or went has its old key deleted.  Inserts
+move the base row, then each applicable view row; deletes move the view
+rows first and the base row last.  Updates run the six-step procedure:
+lock, read, mark, update, un-mark, release; readers seeing a marked row
+re-scan.
 
 The WAL records (txn id, phase, statement text) with a begin before the
 mutations and a commit after.  Recovery applies the same admission as
-``execute_write``, then re-executes every begin without a commit (the
-procedures are idempotent); a statement refused or failing there is
-reported aborted.  Either way it gets its commit record.
+``execute_write``, then re-executes every begin without a commit; a
+statement refused or failing there is reported aborted.  Either way it
+gets its commit record.  Replay is idempotent at any crash point because
+of the write order: a row is written after its index rows, so until the
+row itself changes, a replay reads the old row and derives the old index
+keys from it again; a delete keeps the base row until its view rows are
+gone, so a replay still finds it.  Not yet covered: an update filtered on
+an attribute it assigns, whose replay no longer matches the written base
+row.
 """
 
 from __future__ import annotations
@@ -31,11 +43,10 @@ from dataclasses import dataclass, field
 
 from .errors import (LockTimeout, OrphanError, SchemaError, SynergyError,
                      WalCorruptionError)
-from .maintenance import (build_delete_index_keys, build_insert_view_tuple,
-                          key_values_from_filters, parent_key,
-                          plan_update_rows, validate_update)
-from .schema import (LOCK_COLUMN, StoreCatalog, _write_key_coverage,
-                     _write_type_mismatch)
+from .maintenance import (build_insert_view_tuple, key_values_from_filters,
+                          parent_key, plan_update_rows, validate_update)
+from .schema import (BASE, INDEX, LOCK_COLUMN, VIEW, StoreCatalog,
+                     TableHandle, _write_key_coverage, _write_type_mismatch)
 from .sqlparse import (COMPARE, Delete, Insert, Update, WriteStatement,
                        count_placeholders, parse_statement, render_statement)
 from .storage import (ABSENT, DIRTY, Store, decode_text, encode_key,
@@ -185,6 +196,9 @@ class LockManager:
 
 @dataclass
 class TxnResult:
+    """A write's outcome.  ``base_rows``, ``view_rows`` and ``index_rows``
+    count each row of that kind of table once when the write put it, or
+    deleted it without a replacement."""
     txn_id: int
     kind: str
     relation: str
@@ -232,6 +246,15 @@ class TransactionManager:
             self._views_last.setdefault(view.last, []).append(view)
             for rel_name in view.relations:
                 self._views_containing.setdefault(rel_name, []).append(view)
+        # resolved once per table: a write's moves look both up per row
+        self._index_handles: dict[str, list[TableHandle]] = {}
+        self._count_field: dict[str, str] = {}
+        counted = {BASE: "base_rows", VIEW: "view_rows", INDEX: "index_rows"}
+        for handle in catalog.all_handles():
+            self._index_handles[handle.name] = [
+                catalog.handle(idx.name)
+                for idx in catalog.indexes_of(handle.name)]
+            self._count_field[handle.name] = counted.get(handle.kind)
 
     # -- root resolution ---------------------------------------------------
 
@@ -354,6 +377,43 @@ class TransactionManager:
         else:
             self.locks.release(root, root_key)
 
+    # -- row moves ----------------------------------------------------------------
+
+    def _moves(self, table: str, key: bytes, old: dict | None,
+               new: dict | None) -> list[tuple]:
+        """The writes that take the row of ``table`` at ``key`` from ``old``
+        to ``new`` (None: no row), each as (table, old key, new key, new
+        cells), a key None on a side without a row: first one per index
+        row, keyed and projected from the row, then the row itself."""
+        moves = []
+        for ih in self._index_handles[table]:
+            old_key = None if old is None else key_of(ih, old)
+            new_key = None if new is None else key_of(ih, new)
+            if new_key is not None:
+                moves.append((ih.name, old_key, new_key,
+                              {a: new[a] for a in ih.columns if a in new}))
+            elif old_key is not None:
+                moves.append((ih.name, old_key, None, None))
+        moves.append((table, None if old is None else key,
+                      None if new is None else key, new))
+        return moves
+
+    def _apply(self, moves: list[tuple], result: TxnResult,
+               staged: bool = False) -> None:
+        """Put each move's new row (marked when ``staged``), then delete its
+        old key if the row moved or went, in list order."""
+        for table, old_key, new_key, cells in moves:
+            touched = new_key is not None
+            if touched:
+                self.store.put(table, new_key,
+                               {**cells, DIRTY: True} if staged else cells)
+            if old_key is not None and old_key != new_key:
+                touched = self.store.delete(table, old_key) or touched
+            if touched:
+                field_name = self._count_field[table]
+                setattr(result, field_name,
+                        getattr(result, field_name) + 1)
+
     # -- insert -----------------------------------------------------------------
 
     def _insert(self, stmt: Insert, result: TxnResult) -> None:
@@ -362,58 +422,29 @@ class TransactionManager:
         # overwriting an existing row moves its index rows; a view row can
         # only exist while its base row does
         old = self.store.get(stmt.relation, base_key)
-        self.store.put(stmt.relation, base_key, dict(values))
-        result.base_rows = 1
-        result.index_rows += self._move_index_rows(stmt.relation, old, values)
+        self._apply(self._moves(stmt.relation, base_key, old, values), result)
         for view in self._views_last.get(stmt.relation, ()):
             built = build_insert_view_tuple(view, stmt, self.store,
                                             self.catalog)
             vkey, cells = built or (
                 key_of(self.catalog.handle(view.name), values), None)
             old_view = None if old is None else self.store.get(view.name, vkey)
-            if cells is None:
-                self.store.delete(view.name, vkey)
-                self._move_index_rows(view.name, old_view, None)
-                continue
-            self.store.put(view.name, vkey, cells)
-            result.view_rows += 1
-            result.index_rows += self._move_index_rows(view.name, old_view,
-                                                       cells)
-
-    def _move_index_rows(self, base: str, old: dict | None,
-                         new: dict | None) -> int:
-        """Bring every index of ``base`` from row ``old`` to row ``new``
-        (None: no row).  A key that stays is overwritten in place.
-        Returns the index rows put, or those deleted when ``new`` is None."""
-        put = deleted = 0
-        for idx in self.catalog.indexes_of(base):
-            ih = self.catalog.handle(idx.name)
-            old_key = None if old is None else key_of(ih, old)
-            new_key = None if new is None else key_of(ih, new)
-            if old_key is not None and old_key != new_key:
-                deleted += self.store.delete(idx.name, old_key)
-            if new_key is not None:
-                self.store.put(idx.name, new_key,
-                               {a: new[a] for a in ih.columns if a in new})
-                put += 1
-        return deleted if new is None else put
+            self._apply(self._moves(view.name, vkey, old_view, cells), result)
 
     # -- delete -----------------------------------------------------------------
 
     def _delete(self, stmt: Delete, result: TxnResult) -> None:
         base_key = self._row_key(stmt)
         old = self.store.get(stmt.relation, base_key)
-        if old is not None and _row_matches(old, stmt.filters):
-            # views and their indexes first so a replay still sees the base row
-            for view in self._views_last.get(stmt.relation, ()):
-                for iname, ikey in build_delete_index_keys(
-                        view, stmt, self.store, self.catalog):
-                    result.index_rows += self.store.delete(iname, ikey)
-                result.view_rows += self.store.delete(
-                    view.name, key_of(self.catalog.handle(view.name), old))
-            result.index_rows += self._move_index_rows(stmt.relation, old,
-                                                       None)
-            result.base_rows += self.store.delete(stmt.relation, base_key)
+        if old is None or not _row_matches(old, stmt.filters):
+            return
+        # views first so a replay still sees the base row
+        for view in self._views_last.get(stmt.relation, ()):
+            vkey = key_of(self.catalog.handle(view.name), old)
+            self._apply(self._moves(view.name, vkey,
+                                    self.store.get(view.name, vkey), None),
+                        result)
+        self._apply(self._moves(stmt.relation, base_key, old, None), result)
 
     # -- update (six steps) --------------------------------------------------------
 
@@ -430,57 +461,39 @@ class TransactionManager:
         # step 2: read every row to be updated
         base_key = self._row_key(stmt)
         base_old = self.store.get(stmt.relation, base_key)
-        applies = base_old is not None and _row_matches(base_old, stmt.filters)
-        plans = []
-        if applies:
-            plans = [plan_update_rows(view, stmt, self.store, self.catalog)
-                     for view in self._views_containing.get(stmt.relation, ())]
+        base_moves, view_rows = [], []
+        if base_old is not None and _row_matches(base_old, stmt.filters):
+            new_base = dict(base_old)
+            new_base.update(stmt.assignments)
+            base_moves = self._moves(stmt.relation, base_key, base_old,
+                                     new_base)
+            for view in self._views_containing.get(stmt.relation, ()):
+                plan = plan_update_rows(view, stmt, self.store, self.catalog)
+                view_rows += [(old, self._moves(view.name, vkey, old, new))
+                              for vkey, old, new in plan.rows]
         self._crash(2)
 
-        # step 3: mark every view and view-index row to be updated
-        for plan in plans:
-            for vkey, old, _ in plan.rows:
-                marked = dict(old)
-                marked[DIRTY] = True
-                self.store.put(plan.view, vkey, marked)
-            for iname, old_ikey, _, _ in plan.index_ops:
-                if old_ikey is None:
-                    continue
-                iold = self.store.get(iname, old_ikey)
-                if iold is not None:
-                    marked = dict(iold)
-                    marked[DIRTY] = True
-                    self.store.put(iname, old_ikey, marked)
+        # step 3: mark every view and view-index row to be updated, each at
+        # its old key with the old view row's cells: a replay derives the
+        # old index keys from the view row, and readers re-scan on any mark
+        # until step 4 overwrites or deletes it
+        for old, moves in view_rows:
+            for table, old_key, _, _ in moves:
+                if old_key is not None:
+                    self.store.put(table, old_key, {**old, DIRTY: True})
         self._crash(3)
 
         # step 4: apply the updates (marks stay on until step 5)
-        if applies:
-            new_base = dict(base_old)
-            new_base.update(dict(stmt.assignments))
-            self._move_index_rows(stmt.relation, base_old, new_base)
-            self.store.put(stmt.relation, base_key, new_base)
-            result.base_rows = 1
-        for plan in plans:
-            for vkey, _, new in plan.rows:
-                staged = dict(new)
-                staged[DIRTY] = True
-                self.store.put(plan.view, vkey, staged)
-                result.view_rows += 1
-            for iname, old_ikey, new_ikey, new_cells in plan.index_ops:
-                staged = dict(new_cells)
-                staged[DIRTY] = True
-                self.store.put(iname, new_ikey, staged)
-                if old_ikey is not None and old_ikey != new_ikey:
-                    self.store.delete(iname, old_ikey)
-                result.index_rows += 1
+        self._apply(base_moves, result)
+        for _, moves in view_rows:
+            self._apply(moves, result, staged=True)
         self._crash(4)
 
         # step 5: un-mark everything written
-        for plan in plans:
-            for vkey, _, new in plan.rows:
-                self.store.put(plan.view, vkey, dict(new))
-            for iname, _, new_ikey, new_cells in plan.index_ops:
-                self.store.put(iname, new_ikey, dict(new_cells))
+        for _, moves in view_rows:
+            for table, _, new_key, cells in moves:
+                if new_key is not None:
+                    self.store.put(table, new_key, cells)
         self._crash(5)
 
     # -- recovery ------------------------------------------------------------------

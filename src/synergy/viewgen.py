@@ -42,9 +42,6 @@ class RootedTree:
                 return e
         return None
 
-    def out_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == node]
-
     def path_from_root(self, node: str) -> list[str]:
         """The unique relation sequence from the root down to ``node``."""
         path = [node]

@@ -42,8 +42,7 @@ class ViewDef:
         return {
             "name": self.name,
             "relations": list(self.relations),
-            "edges": [[e.src, e.dst, list(e.pk), e.fk_name, list(e.fk)]
-                      for e in self.edges],
+            "edges": [e.to_list() for e in self.edges],
             "attributes": list(self.attributes),
             "key": list(self.key),
             "provenance": list(self.provenance),
@@ -54,8 +53,7 @@ class ViewDef:
         return cls(
             name=doc["name"],
             relations=tuple(doc["relations"]),
-            edges=tuple(Edge(s, d, tuple(pk), fkn, tuple(fk))
-                        for s, d, pk, fkn, fk in doc["edges"]),
+            edges=tuple(Edge.from_list(e) for e in doc["edges"]),
             attributes=tuple(doc["attributes"]),
             key=tuple(doc["key"]),
             provenance=list(doc["provenance"]))

@@ -252,7 +252,8 @@ def test_base_table_index_end_to_end():
         assert db.verify().ok
 
         # moving an indexed attribute relocates the index row
-        db.execute("UPDATE Item SET I_TITLE = 'zzz' WHERE I_ID = 1")
+        result = db.execute("UPDATE Item SET I_TITLE = 'zzz' WHERE I_ID = 1")
+        assert result.index_rows == 1
         rows = db.execute("SELECT * FROM Item as i WHERE i.I_TITLE = 'ada'")
         assert [r["I_ID"] for r in rows] == [3]
         rows = db.execute("SELECT * FROM Item as i WHERE i.I_TITLE = 'zzz'")

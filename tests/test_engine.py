@@ -187,6 +187,28 @@ def test_contradictory_duplicate_key_filters(company_db):
     assert rows == []
 
 
+def test_join_not_consumed_by_another_key_component():
+    # wo's key prefix is (WO_EID = 7, WO_PNo = e.EID): e.EID feeds the
+    # second component, so the join wo.WO_EID = e.EID must still filter
+    db = Database.create(company_schema(), company_workload())
+    try:
+        for eid in (5, 7):
+            db.execute(f"INSERT INTO Employee (EID, EName, ESalary, "
+                       f"EHome_AID, EOffice_AID, E_DNo) "
+                       f"VALUES ({eid}, 'e', 10, 1, 1, 1)")
+        db.execute("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) "
+                   "VALUES (7, 5, 1)")
+        stmt = parse_statement(
+            "SELECT * FROM Employee as e, Works_On as wo WHERE e.EID = 5 "
+            "AND wo.WO_EID = 7 AND wo.WO_EID = e.EID AND wo.WO_PNo = e.EID")
+        want = oracle.eval_select(stmt, base_rows(db))
+        assert want == []
+        assert oracle.row_multiset(db.execute(stmt)) == \
+            oracle.row_multiset(want)
+    finally:
+        db.close()
+
+
 # -- hash steps -----------------------------------------------------------------
 
 @pytest.fixture(scope="module")

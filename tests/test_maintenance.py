@@ -7,8 +7,7 @@ from synergy.db import Database
 from synergy.errors import UnsupportedUpdate
 from synergy.fixtures import (company_schema, company_workload,
                               tpcw_micro_schema, tpcw_micro_workload)
-from synergy.maintenance import (build_delete_index_keys,
-                                 build_insert_view_tuple, delete_applies,
+from synergy.maintenance import (build_insert_view_tuple, delete_applies,
                                  insert_applies, plan_update_rows,
                                  update_applies)
 from synergy.schema import ForeignKey, RelationDef, SchemaDef
@@ -145,20 +144,33 @@ def test_delete_index_keys_for_hours_index(company_db):
                "EOffice_AID, E_DNo) VALUES (5, 'e', 10, 1, 1, 1)")
     db.execute("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) "
                "VALUES (5, 2, 30)")
-    view = view_by_name(db, "V_Employee_Works_On")
-    delete = parse_statement(
-        "DELETE FROM Works_On WHERE WO_EID = 5 AND WO_PNo = 2")
-    keys = build_delete_index_keys(view, delete, db.store, db.catalog)
-    assert keys == [("X_V_Employee_Works_On_Hours",
-                     encode_key((30, 5, 2), ("int", "int", "int")))]
+    index = "X_V_Employee_Works_On_Hours"
+    key = encode_key((30, 5, 2), ("int", "int", "int"))
+    assert db.store.get(index, key) is not None
+    result = db.execute("DELETE FROM Works_On WHERE WO_EID = 5 AND WO_PNo = 2")
+    assert db.store.get(index, key) is None
+    assert db.store.count(index) == 0
+    assert (result.view_rows, result.index_rows) == (1, 1)
+    report = db.verify()
+    assert report.ok, report.describe()
 
 
 def test_delete_index_keys_without_view_row(company_db):
-    view = view_by_name(company_db, "V_Employee_Works_On")
-    delete = parse_statement(
-        "DELETE FROM Works_On WHERE WO_EID = 5 AND WO_PNo = 2")
-    assert build_delete_index_keys(view, delete, company_db.store,
-                                   company_db.catalog) == []
+    db = company_db
+    # the Works_On row lands before its Employee, so it gets no view row
+    db.execute("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) "
+               "VALUES (5, 2, 30)")
+    db.execute("INSERT INTO Address (AID, Astreet, Acity) "
+               "VALUES (1, 'a', 'c')")
+    db.execute("INSERT INTO Department (DNo, DName) VALUES (1, 'd')")
+    db.execute("INSERT INTO Employee (EID, EName, ESalary, EHome_AID, "
+               "EOffice_AID, E_DNo) VALUES (5, 'e', 10, 1, 1, 1)")
+    assert db.store.count("V_Employee_Works_On") == 0
+    result = db.execute("DELETE FROM Works_On WHERE WO_EID = 5 AND WO_PNo = 2")
+    assert (result.base_rows, result.view_rows, result.index_rows) == (1, 0, 0)
+    assert db.store.count("X_V_Employee_Works_On_Hours") == 0
+    report = db.verify()
+    assert report.ok, report.describe()
 
 
 def test_delete_index_keys_view_without_indexes(orders_db):
@@ -169,13 +181,19 @@ def test_delete_index_keys_view_without_indexes(orders_db):
                "VALUES (1, 1, 's', 1)")
     db.execute("INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
                "VALUES (1, 1, 1, 1)")
-    # V_Customer_Order_Order_line carries C_ID and O_ID indexes, so pick a
-    # fresh view without any: strip the catalog's index map for the check
-    view = view_by_name(db, "V_Customer_Order")
-    delete = parse_statement("DELETE FROM Order WHERE O_ID = 1")
-    keys = build_delete_index_keys(view, delete, db.store, db.catalog)
-    names = {n for n, _ in keys}
-    assert names == {"X_V_Customer_Order_C_ID"}
+    pair = encode_key((1, 1), ("int", "int"))
+    # the line's view carries a C_ID and an O_ID index; the order's view
+    # carries only a C_ID index
+    result = db.execute("DELETE FROM Order_line WHERE OL_ID = 1")
+    assert result.index_rows == 2
+    assert db.store.get("X_V_Customer_Order_Order_line_C_ID", pair) is None
+    assert db.store.get("M_V_Customer_Order_Order_line_O_ID", pair) is None
+    assert db.store.get("X_V_Customer_Order_C_ID", pair) is not None
+    result = db.execute("DELETE FROM Order WHERE O_ID = 1")
+    assert result.index_rows == 1
+    assert db.store.get("X_V_Customer_Order_C_ID", pair) is None
+    report = db.verify()
+    assert report.ok, report.describe()
 
 
 def test_update_plan_fans_out_across_view_rows(company_db):
@@ -196,21 +214,16 @@ def test_update_plan_fans_out_across_view_rows(company_db):
         assert old["ESalary"] == 10
         assert new["ESalary"] == 99
         assert new["Hours"] == old["Hours"]
-    # the Hours view-index rows keep their keys (Hours unchanged)
-    assert len(plan.index_ops) == 3
-    for _, old_key, new_key, cells in plan.index_ops:
-        assert old_key == new_key
-        assert cells["ESalary"] == 99
 
-    # brute-force oracle: applying the plan matches a recomputed join
-    for vkey, _, new in plan.rows:
-        db.store.put(view.name, vkey, new)
-    for iname, old_key, new_key, cells in plan.index_ops:
-        db.store.delete(iname, old_key)
-        db.store.put(iname, new_key, cells)
-    new_base = dict(db.store.get("Employee", encode_key((5,), ("int",))))
-    new_base["ESalary"] = 99
-    db.store.put("Employee", encode_key((5,), ("int",)), new_base)
+    # the Hours view-index rows keep their keys (Hours unchanged)
+    index = "X_V_Employee_Works_On_Hours"
+    keys = [k for k, _ in db.store.scan(index)]
+    assert len(keys) == 3
+    db.execute(update)
+    assert [k for k, _ in db.store.scan(index)] == keys
+    assert all(cells["ESalary"] == 99 for _, cells in db.store.scan(index))
+
+    # brute-force oracle: the stored view matches a recomputed join
     base = {n: [c for _, c in db.store.scan(n)] for n in db.schema.relations}
     expected = oracle.expected_view_rows(view, base)
     actual = [c for _, c in db.store.scan(view.name)]

@@ -231,7 +231,7 @@ def test_mistyped_key_is_rejected_before_the_lock(db):
     ("plan_update_rows", "UPDATE Order SET O_STATUS = 'x' WHERE O_ID = 1",
      "UPDATE Order SET O_STATUS = 'y' WHERE O_ID = 1",
      ("Order", 1, "O_STATUS", "y")),
-    ("build_delete_index_keys", "DELETE FROM Order_line WHERE OL_ID = 1",
+    ("key_of", "DELETE FROM Order_line WHERE OL_ID = 1",
      "UPDATE Order_line SET OL_QTY = 9 WHERE OL_ID = 1",
      ("Order_line", 1, "OL_QTY", 9)),
 ])
@@ -273,7 +273,7 @@ def test_refusal_under_the_lock_lets_the_lock_go(db, tmp_path, monkeypatch,
     ("plan_update_rows", "UPDATE Order SET O_STATUS = 'x' WHERE O_ID = 1",
      "UPDATE Order SET O_STATUS = 'y' WHERE O_ID = 1",
      ("Order", 1, "O_STATUS", "y")),
-    ("build_delete_index_keys", "DELETE FROM Order_line WHERE OL_ID = 1",
+    ("key_of", "DELETE FROM Order_line WHERE OL_ID = 1",
      "INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
      "VALUES (1, 1, 1, 9)",
      ("Order_line", 1, "OL_QTY", 9)),
@@ -540,6 +540,72 @@ def test_recovery_aborts_a_logged_statement_admission_refuses(db, tmp_path):
         assert report.ok, report.describe()
     finally:
         reopened.close()
+
+
+def company_with_hours(data_dir):
+    db = Database.create(company_schema(), company_workload(),
+                         data_dir=data_dir)
+    db.execute("INSERT INTO Address (AID, Astreet, Acity) "
+               "VALUES (1, 'a', 'c')")
+    db.execute("INSERT INTO Department (DNo, DName) VALUES (1, 'd')")
+    db.execute("INSERT INTO Employee (EID, EName, ESalary, EHome_AID, "
+               "EOffice_AID, E_DNo) VALUES (5, 'e', 10, 1, 1, 1)")
+    db.execute("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) "
+               "VALUES (5, 2, 30)")
+    return db
+
+
+@pytest.mark.parametrize("text, row", [
+    ("UPDATE Works_On SET Hours = 40 WHERE WO_EID = 5 AND WO_PNo = 2",
+     ("Works_On", (5, 2), "Hours", 40)),
+    ("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (5, 2, 50)",
+     ("Works_On", (5, 2), "Hours", 50)),
+    ("DELETE FROM Works_On WHERE WO_EID = 5 AND WO_PNo = 2",
+     ("Works_On", (5, 2), None, None)),
+    ("UPDATE Employee SET ESalary = 99 WHERE EID = 5",
+     ("Employee", (5,), "ESalary", 99)),
+])
+def test_crash_at_every_store_write_then_reopen(tmp_path, text, row):
+    """A crash in place of the n-th store put or delete of a write, for
+    every n until the write completes, leaves a checkpoint that open and
+    replay bring to the written value with every view and index exact."""
+    relation, key, attr, value = row
+    n = 0
+    completed = False
+    while not completed:
+        db = company_with_hours(str(tmp_path / f"live{n}"))
+        writes = []
+
+        def crash_at_n(write):
+            def wrapper(*args):
+                writes.append(args[0])
+                if len(writes) == n + 1:
+                    raise CrashInjected(f"crash in place of store write {n}")
+                return write(*args)
+            return wrapper
+
+        db.store.put = crash_at_n(db.store.put)
+        db.store.delete = crash_at_n(db.store.delete)
+        try:
+            db.execute(text)
+            completed = True
+        except CrashInjected:
+            pass
+        copy = str(tmp_path / f"copy{n}")
+        db.save(copy)
+        db.close()
+        reopened = Database.open(copy)
+        try:
+            assert len(reopened.recovery.replayed) == (0 if completed else 1)
+            report = reopened.verify()
+            assert report.ok, f"crash at write {n}:\n{report.describe()}"
+            assert report.locks_held == 0
+            stored = reopened.store.get(
+                relation, encode_key(key, ("int",) * len(key)))
+            assert (stored if attr is None else stored[attr]) == value
+        finally:
+            reopened.close()
+        n += 1
 
 
 def test_recovered_insert_is_idempotent(db):
