@@ -281,7 +281,11 @@ class Database:
                  os.path.join(data_dir, WAL_FILE), fsync, lock_timeout,
                  workload=[parse_statement(t) for t in pipeline["workload"]])
         snapshot = os.path.join(data_dir, SNAPSHOT_FILE)
-        if os.path.exists(snapshot):
-            db.store.load_snapshot(snapshot)
-        db.recovery = db.txn.recover()
+        try:
+            if os.path.exists(snapshot):
+                db.store.load_snapshot(snapshot)
+            db.recovery = db.txn.recover()
+        except BaseException:
+            db.close()
+            raise
         return db

@@ -12,10 +12,15 @@ out in the same order as the nested loop would give them.  Rows surfaced
 from a view or view-index carrying the dirty mark, including any met while
 building a hash step, abort the statement, which restarts from scratch
 (bounded retries); returned rows never expose the mark.
+
+A ``QueryEngine`` plans each distinct statement once and keeps the plan
+for every later execution: the catalog is fixed when the engine is built,
+so a kept plan never goes stale.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -24,6 +29,10 @@ from .errors import (AmbiguityError, DirtyReadTimeout, UnknownAttributeError,
 from .schema import BASE, INDEX, StoreCatalog, TableHandle, VIEW
 from .sqlparse import COMPARE, AttrRef, Placeholder, SelectJoin
 from .storage import DIRTY, Store, prefix_range
+
+#: most plans one engine keeps; a full cache is cleared, so a stream of
+#: ad-hoc statements with literal values cannot grow it without bound
+PLAN_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -290,9 +299,8 @@ def execute_plan(plan: QueryPlan, params, store: Store,
         else:
             out = {}
             for step in steps:
-                for attr, value in env[step.alias].items():
-                    if attr != DIRTY:
-                        out[attr] = value
+                out.update(env[step.alias])
+            out.pop(DIRTY, None)
             results.append(out)
 
     def run(depth, env):
@@ -338,16 +346,30 @@ def execute_plan(plan: QueryPlan, params, store: Store,
 
 
 class QueryEngine:
-    """Stateless executor; reads proceed without locks and re-scan on dirty."""
+    """Executor holding a plan cache keyed by statement; reads proceed
+    without locks and re-scan on dirty."""
 
     def __init__(self, store: Store, catalog: StoreCatalog,
                  max_rescans: int = 100):
         self.store = store
         self.catalog = catalog
         self.max_rescans = max_rescans
+        self._plans: dict[SelectJoin, QueryPlan] = {}
+        self._plans_lock = threading.Lock()
 
     def plan(self, stmt: SelectJoin) -> QueryPlan:
-        return plan_query(stmt, self.catalog)
+        """The statement's plan, made on its first call; a statement whose
+        planning raises is not kept, so it raises again."""
+        plan = self._plans.get(stmt)
+        if plan is None:
+            plan = plan_query(stmt, self.catalog)
+            # readers look up without the lock; writers share it so that
+            # concurrent misses cannot push the cache past its cap
+            with self._plans_lock:
+                if len(self._plans) >= PLAN_CACHE_SIZE:
+                    self._plans.clear()
+                self._plans[stmt] = plan
+        return plan
 
     def execute(self, stmt: SelectJoin, params=()) -> list[dict]:
         return self.execute_plan(self.plan(stmt), params)

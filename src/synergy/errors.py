@@ -52,3 +52,7 @@ class DirtyReadTimeout(SynergyError):
 
 class WalCorruptionError(SynergyError):
     """Structurally invalid write-ahead-log content."""
+
+
+class SnapshotCorruptionError(SynergyError):
+    """Structurally invalid checkpoint snapshot content."""

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from sortedcontainers import SortedDict
 
-from .errors import SchemaError, UnknownTableError
+from .errors import SchemaError, SnapshotCorruptionError, UnknownTableError
 from .schema import TableHandle
 
 DELIM = b"\x1f"
@@ -248,19 +248,29 @@ class Store:
                         fh.write(rec)
 
     def load_snapshot(self, path) -> None:
-        """Apply snapshot records to the (already created) tables."""
+        """Apply snapshot records to the (already created) tables; a bad
+        magic, a cut record, a bad cell tag or undecodable text raises
+        SnapshotCorruptionError before any row is applied."""
         with open(path, "rb") as fh:
             data = fh.read()
         if not data.startswith(self._MAGIC):
-            raise ValueError("not a snapshot file")
+            raise SnapshotCorruptionError("not a snapshot file")
         pos = len(self._MAGIC)
         staged: dict[tuple[str, bytes], dict] = {}
-        while pos < len(data):
-            table, pos = _read_chunk(data, pos)
-            key, pos = _read_chunk(data, pos, raw=True)
-            column, pos = _read_chunk(data, pos)
-            value, pos = _decode_cell(data, pos)
-            staged.setdefault((table, key), {})[column] = value
+        try:
+            while pos < len(data):
+                table, pos = _read_chunk(data, pos)
+                key, pos = _read_chunk(data, pos, raw=True)
+                column, pos = _read_chunk(data, pos)
+                value, pos = _decode_cell(data, pos)
+                staged.setdefault((table, key), {})[column] = value
+        except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            raise SnapshotCorruptionError(
+                f"unreadable snapshot record: {exc}") from None
+        # a slice past the end comes back short: only the position shows
+        # that the last chunk was cut
+        if pos > len(data):
+            raise SnapshotCorruptionError("snapshot ends inside a record")
         for (table, key), cells in staged.items():
             self.put(table, key, cells)
 
@@ -287,7 +297,7 @@ def _decode_cell(data: bytes, pos: int):
         (n,) = struct.unpack_from(">I", data, pos)
         pos += 4
         return decode_text(data[pos:pos + n]), pos + n
-    raise ValueError(f"bad cell tag {tag}")
+    raise SnapshotCorruptionError(f"bad cell tag {tag}")
 
 
 def _read_chunk(data: bytes, pos: int, raw: bool = False):

@@ -27,13 +27,14 @@ gets its commit record.  Replay is idempotent at any crash point because
 of the write order: a row is written after its index rows, so until the
 row itself changes, a replay reads the old row and derives the old index
 keys from it again; a delete keeps the base row until its view rows are
-gone, so a replay still finds it.  Not yet covered: an update filtered on
-an attribute it assigns, whose replay no longer matches the written base
-row.
+gone, so a replay still finds it.  An update's replay finds its base row
+already written once that row carries every value it assigns; a filter on
+an assigned attribute then tested the old value and holds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import struct
@@ -329,15 +330,17 @@ class TransactionManager:
         self.wal.append(txn_id, PHASE_COMMIT, "")
         return result
 
-    def _run(self, stmt, txn_id: int, force_locks: bool = False) -> TxnResult:
-        """The one lock scope of every write (``force_locks``: recovery
-        takes the lock whatever its state)."""
+    def _run(self, stmt, txn_id: int, replay: bool = False) -> TxnResult:
+        """The one lock scope of every write (``replay``: recovery takes
+        the lock whatever its state, and an update accepts the base row its
+        crashed pass wrote)."""
         if isinstance(stmt, Insert):
             kind, body = "insert", self._insert
         elif isinstance(stmt, Delete):
             kind, body = "delete", self._delete
         else:
-            kind, body = "update", self._update
+            kind, body = "update", functools.partial(self._update,
+                                                     replay=replay)
         result = TxnResult(txn_id, kind, stmt.relation)
         target = self.resolve_root(stmt)
         if target is None:
@@ -345,7 +348,7 @@ class TransactionManager:
             result.orphan = stmt.relation in self._chain
         else:
             root, root_key = target
-            if force_locks:
+            if replay:
                 self.locks.force_acquire(root, root_key)
             else:
                 self.locks.acquire(root, root_key)
@@ -453,7 +456,7 @@ class TransactionManager:
             self.crash_after_update_step = None
             raise CrashInjected(f"crash injected after update step {step}")
 
-    def _update(self, stmt: Update, result: TxnResult) -> None:
+    def _update(self, stmt: Update, result: TxnResult, replay: bool) -> None:
         """Steps 2 to 5; ``_run`` takes the lock (step 1) and gives it up
         (step 6)."""
         self._crash(1)
@@ -461,8 +464,15 @@ class TransactionManager:
         # step 2: read every row to be updated
         base_key = self._row_key(stmt)
         base_old = self.store.get(stmt.relation, base_key)
+        filters = stmt.filters
+        if replay and base_old is not None and all(
+                base_old.get(a) == v for a, v in stmt.assignments):
+            # the crashed pass may have written the base row: a filter on
+            # an assigned attribute tested the old value, so it holds
+            assigned = {a for a, _ in stmt.assignments}
+            filters = [f for f in filters if f.ref.name not in assigned]
         base_moves, view_rows = [], []
-        if base_old is not None and _row_matches(base_old, stmt.filters):
+        if base_old is not None and _row_matches(base_old, filters):
             new_base = dict(base_old)
             new_base.update(stmt.assignments)
             base_moves = self._moves(stmt.relation, base_key, base_old,
@@ -508,7 +518,7 @@ class TransactionManager:
             stmt = parse_statement(record.statement)
             try:
                 self._admit(stmt)
-                self._run(stmt, record.txn_id, force_locks=True)
+                self._run(stmt, record.txn_id, replay=True)
                 report.replayed.append((record.txn_id, record.statement))
             except SynergyError as exc:
                 report.aborted.append(

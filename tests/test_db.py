@@ -5,7 +5,7 @@ the persisted data directory."""
 import pytest
 
 from synergy.db import Database
-from synergy.errors import LockTimeout
+from synergy.errors import LockTimeout, SnapshotCorruptionError
 from synergy.fixtures import (FIXTURES, build_fixture, company_schema,
                               company_workload, populate, populate_company,
                               tpcw_micro_schema, tpcw_micro_workload)
@@ -184,6 +184,21 @@ def test_crash_save_reopen_recovers_through_database_open(tmp_path):
         assert row["C_BALANCE"] == 42
     finally:
         reopened.close()
+
+
+def test_open_of_a_torn_snapshot_raises_a_typed_error(tmp_path):
+    data_dir = tmp_path / "d"
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=str(data_dir))
+    db.execute("INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) "
+               "VALUES (1, 'u', 0)")
+    db.save(str(data_dir))
+    db.close()
+    snapshot = data_dir / "snapshot.bin"
+    data = snapshot.read_bytes()
+    snapshot.write_bytes(data[:len(data) // 2])
+    with pytest.raises(SnapshotCorruptionError):
+        Database.open(str(data_dir))
 
 
 def test_second_open_after_recovery_replays_nothing(tmp_path):

@@ -1,17 +1,21 @@
 import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 
-from synergy import oracle
+from synergy import engine, oracle
 from synergy.db import Database
+from synergy.engine import PLAN_CACHE_SIZE, QueryEngine
 from synergy.errors import (AmbiguityError, DirtyReadTimeout,
                             UnknownAttributeError, UnknownTableError)
 from synergy.fixtures import (company_schema, company_workload,
                               populate_company, populate_tpcw_micro,
                               tpcw_micro_schema, tpcw_micro_workload)
-from synergy.sqlparse import SelectJoin, count_placeholders, parse_statement
-from synergy.storage import DIRTY, encode_key
+from synergy.sqlparse import (SelectJoin, count_placeholders,
+                               parse_statement, render_statement)
+from synergy.storage import DIRTY, encode_key, key_of
 
 
 @pytest.fixture(scope="module")
@@ -284,5 +288,152 @@ def test_marked_row_in_a_hashed_view_step_forces_rescan():
         db.engine.max_rescans = 3
         with pytest.raises(DirtyReadTimeout):
             db.execute(stmt)
+    finally:
+        db.close()
+
+
+# -- plan cache ------------------------------------------------------------------
+
+@pytest.fixture()
+def plan_calls(monkeypatch):
+    """Every statement the module-level planner is asked to plan."""
+    calls = []
+    real = engine.plan_query
+
+    def counting(stmt, catalog):
+        calls.append(stmt)
+        return real(stmt, catalog)
+
+    monkeypatch.setattr(engine, "plan_query", counting)
+    return calls
+
+
+def reads(db, fixture):
+    stmts = [s for s in db.workload + db.rewrite.statements
+             if isinstance(s, SelectJoin)]
+    return stmts + [parse_statement(t) for t in AD_HOC[fixture]]
+
+
+def test_repeated_execute_plans_each_distinct_statement_once(company_db,
+                                                             plan_calls):
+    qe = QueryEngine(company_db.store, company_db.catalog)
+    stmts = reads(company_db, "company")
+    for _ in range(3):
+        for stmt in stmts:
+            # an equal statement parsed again shares the plan
+            again = parse_statement(render_statement(stmt))
+            for param in (1, 2):
+                params = (param,) * count_placeholders(stmt)
+                assert qe.execute(again, params) == qe.execute(stmt, params)
+    assert len(plan_calls) == len(set(stmts)) == len(stmts)
+
+
+@pytest.mark.parametrize("fixture", ["company", "tpcw-micro"])
+def test_cached_plans_give_the_freshly_planned_rows(fixture, company_db,
+                                                    tpcw_db):
+    db = company_db if fixture == "company" else tpcw_db
+    qe = QueryEngine(db.store, db.catalog)
+    for stmt in reads(db, fixture):
+        for param in (1, 2, 3, 5, 40):
+            params = (param,) * count_placeholders(stmt)
+            want = engine.execute_plan(engine.plan_query(stmt, db.catalog),
+                                       params, db.store, db.catalog)
+            assert qe.execute(stmt, params) == want
+            assert qe.execute(stmt, params) == want
+
+
+def test_a_statement_failing_to_plan_raises_on_every_call(company_db,
+                                                          plan_calls):
+    qe = QueryEngine(company_db.store, company_db.catalog)
+    for text, error in [
+            ("SELECT * FROM Missing", UnknownTableError),
+            ("SELECT * FROM Address as a WHERE a.nope = 1",
+             UnknownAttributeError),
+            ("SELECT * FROM Employee as e1, Employee as e2 "
+             "WHERE e1.EID = e2.EID", AmbiguityError)]:
+        stmt = parse_statement(text)
+        for _ in range(2):
+            with pytest.raises(error):
+                qe.execute(stmt)
+    assert len(plan_calls) == 6
+
+
+def test_plan_cache_never_grows_beyond_its_cap(company_db, plan_calls):
+    qe = QueryEngine(company_db.store, company_db.catalog)
+    for eid in range(2 * PLAN_CACHE_SIZE + 3):
+        stmt = parse_statement(
+            f"SELECT e.EName FROM Employee as e WHERE e.EID = {eid}")
+        rows = qe.execute(stmt)
+        assert rows == ([{"EName": f"emp{eid}"}] if 1 <= eid <= 15 else [])
+        assert 0 < len(qe._plans) <= PLAN_CACHE_SIZE
+    assert len(plan_calls) == 2 * PLAN_CACHE_SIZE + 3
+
+
+def test_concurrent_misses_keep_the_plan_cache_within_its_cap(company_db,
+                                                             monkeypatch):
+    monkeypatch.setattr(engine, "PLAN_CACHE_SIZE", 4)
+    qe = QueryEngine(company_db.store, company_db.catalog)
+    stmts = [[parse_statement(f"SELECT e.EName FROM Employee as e "
+                              f"WHERE e.EID = {1000 * n + i}")
+              for i in range(500)] for n in range(4)]
+    sizes, errors = [], []
+
+    def worker(mine):
+        try:
+            for stmt in mine:
+                qe.plan(stmt)
+                sizes.append(len(qe._plans))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(mine,))
+               for mine in stmts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(sizes) == 2000 and max(sizes) <= 4
+
+
+def per_cell_row(db, plan, row):
+    """``row`` as a SELECT * builds it cell by cell: each step's stored row
+    in plan order, the mark left out."""
+    out = {}
+    for step in plan.steps:
+        handle = db.catalog.handle(step.scan_table)
+        for attr, value in db.store.get(step.scan_table,
+                                        key_of(handle, row)).items():
+            if attr != DIRTY:
+                out[attr] = value
+    return out
+
+
+def test_select_star_rows_keep_the_per_cell_key_order():
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload())
+    try:
+        populate_tpcw_micro(db, scale=2, ratio=2, seed=1)
+        # base rows are read without a mark check: a cell named like the
+        # mark still never reaches a result
+        key, cells = next(iter(db.store.scan("Customer")))
+        db.store.put("Customer", key, {DIRTY: False, **cells})
+        q2, q2_view = db.workload[1], db.rewrite.statements[1]
+        steps = {len(db.engine.plan(s).steps) for s in (q2, q2_view)}
+        assert steps == {3, 1}
+        for stmt in (q2, q2_view):
+            plan = db.engine.plan(stmt)
+            for c_id in (1, 2):
+                rows = db.execute(stmt, (c_id,))
+                assert rows
+                for row in rows:
+                    assert DIRTY not in row
+                    assert list(row.items()) == list(
+                        per_cell_row(db, plan, row).items())
     finally:
         db.close()

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from synergy.errors import UnknownTableError
+from synergy.errors import SnapshotCorruptionError, UnknownTableError
 from synergy.schema import TableHandle
 from synergy.storage import (ABSENT, Store, decode_key, encode_key,
                              prefix_range)
@@ -196,6 +196,27 @@ def test_snapshot_round_trip(tmp_path):
     path2 = tmp_path / "snap2.bin"
     fresh.save_snapshot(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_damaged_snapshot_raises_a_typed_error_and_applies_nothing(tmp_path):
+    store, handle = make_store(("int",), ("s",))
+    store.put("T", k(1), {"s": "ab"})
+    path = tmp_path / "snap.bin"
+    store.save_snapshot(path)
+    data = path.read_bytes()
+    tag = len(data) - len(b"ab") - 4 - 1      # one record: tag, length, text
+    damaged = [b"SYKV2" + data[5:],                       # bad magic
+               data[:tag] + b"\x09" + data[tag + 1:],      # bad cell tag
+               data[:-2] + b"\xff\xff"]                    # undecodable text
+    # cut anywhere inside the record: a chunk, the tag, the length or text
+    damaged += [data[:cut] for cut in range(len(b"SYKV1\n") + 1, len(data))]
+    for raw in damaged:
+        path.write_bytes(raw)
+        fresh = Store()
+        fresh.create_table(handle)
+        with pytest.raises(SnapshotCorruptionError):
+            fresh.load_snapshot(path)
+        assert fresh.count("T") == 0
 
 
 # -- single-key linearizability, brute-force checked ---------------------------

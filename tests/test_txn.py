@@ -564,6 +564,8 @@ def company_with_hours(data_dir):
      ("Works_On", (5, 2), None, None)),
     ("UPDATE Employee SET ESalary = 99 WHERE EID = 5",
      ("Employee", (5,), "ESalary", 99)),
+    ("UPDATE Employee SET ESalary = 99 WHERE EID = 5 AND ESalary = 10",
+     ("Employee", (5,), "ESalary", 99)),
 ])
 def test_crash_at_every_store_write_then_reopen(tmp_path, text, row):
     """A crash in place of the n-th store put or delete of a write, for
@@ -606,6 +608,30 @@ def test_crash_at_every_store_write_then_reopen(tmp_path, text, row):
         finally:
             reopened.close()
         n += 1
+
+
+def test_replayed_update_keeps_its_other_filters(tmp_path):
+    """A replay relaxes only a filter on an assigned attribute, and only
+    once the row carries every assigned value: a filter on another
+    attribute, or on an old value the row never had, still refuses it."""
+    db = company_with_hours(str(tmp_path / "live"))
+    high = wal_high_water(read_wal(db.wal.path))
+    for i, text in enumerate([
+            "UPDATE Employee SET ESalary = 99 WHERE EID = 5 AND EName = 'zz'",
+            "UPDATE Employee SET ESalary = 99 WHERE EID = 5 AND ESalary = 20",
+            "UPDATE Employee SET EName = 'x' WHERE EID = 5 AND ESalary = 1"],
+            start=1):
+        db.wal.append(high + i, PHASE_BEGIN, text)
+    db.save(str(tmp_path / "copy"))
+    db.close()
+    reopened = Database.open(str(tmp_path / "copy"))
+    try:
+        assert len(reopened.recovery.replayed) == 3
+        row = reopened.store.get("Employee", encode_key((5,), ("int",)))
+        assert (row["ESalary"], row["EName"]) == (10, "e")
+        assert reopened.verify().ok
+    finally:
+        reopened.close()
 
 
 def test_recovered_insert_is_idempotent(db):
