@@ -1,55 +1,46 @@
 """Embeddable database: wires schema, pipeline, store, transactions, reads.
 
-``Database.create`` runs the whole planning pipeline for a schema and
-workload (graph, DAG, rooted trees, view selection, rewriting, index
-recommendation); ``Database.open`` reads those artifacts back.  Both then
-share one assembly, the constructor: it builds the catalog (one lock table
-per rooted tree), creates every store table, and wires the WAL, the
-transaction manager and the query engine.  One ``execute`` entry point
-routes reads through the query engine and writes through the transaction
-manager.
+The constructor is the one place that plans, for ``create`` and ``open``
+alike: from the schema, workload and roots it runs the pipeline (graph,
+DAG, rooted trees, view selection, rewriting, index recommendation), then
+builds the catalog (one lock table per rooted tree) and the store, WAL,
+transaction manager and query engine.  ``execute`` routes reads through
+the engine and writes through the transaction manager.
 
-``save``/``open`` persist and restore the pipeline artifacts, a store
-snapshot, and the WAL; opening replays unfinished transactions.
+``save`` writes ``schema.json``, ``pipeline.json`` (the planner's inputs:
+roots and baseline workload), ``snapshot.bin`` and ``wal.bin``, each under
+a temporary name renamed into place once all are written.  ``open`` plans
+again from those inputs, loads the snapshot and replays unfinished
+transactions.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pathlib
 import shutil
 import tempfile
 from dataclasses import dataclass, field
 
 from . import oracle
 from .engine import QueryEngine
-from .schema import (BASE, INDEX, LOCK, LOCK_COLUMN, VIEW, Edge, IndexDef,
-                     SchemaDef, baseline_transform, build_catalog,
-                     build_schema_graph, index_from_dict, index_to_dict,
+from .schema import (BASE, INDEX, LOCK, LOCK_COLUMN, VIEW, SchemaDef,
+                     baseline_transform, build_catalog, build_schema_graph,
                      load_schema, save_schema)
 from .sqlparse import (SelectJoin, Statement, WriteStatement, bind_params,
                        parse_statement, render_statement)
 from .storage import DIRTY, Store, key_of
 from .txn import TransactionManager, WriteAheadLog, read_wal, wal_high_water
-from .viewgen import (GenerationResult, RootedTree, generate_candidate_views)
-from .viewselect import (RewriteResult, ViewDef, recommend_maintenance_indexes,
-                         recommend_view_indexes, rewrite_query,
-                         rewrite_workload, select_views_for_query)
+from .viewgen import generate_candidate_views
+from .viewselect import (recommend_maintenance_indexes, recommend_view_indexes,
+                         rewrite_query, rewrite_workload,
+                         select_views_for_query)
 
 WAL_FILE = "wal.bin"
 SNAPSHOT_FILE = "snapshot.bin"
 SCHEMA_FILE = "schema.json"
 PIPELINE_FILE = "pipeline.json"
-
-
-def _tree_to_dict(tree: RootedTree) -> dict:
-    return {"root": tree.root, "nodes": list(tree.nodes),
-            "edges": [e.to_list() for e in tree.edges]}
-
-
-def _tree_from_dict(doc: dict) -> RootedTree:
-    return RootedTree(doc["root"], tuple(doc["nodes"]),
-                      tuple(Edge.from_list(e) for e in doc["edges"]))
 
 
 @dataclass
@@ -91,33 +82,34 @@ class VerifyReport:
 
 
 class Database:
-    def __init__(self, schema: SchemaDef, trees: list[RootedTree],
-                 rewrite: RewriteResult, view_indexes: list[IndexDef],
-                 maintenance_indexes: list[IndexDef], wal_path: str,
+    def __init__(self, schema: SchemaDef, workload: list[Statement],
+                 roots: tuple[str, ...] | None, wal_path: str,
                  fsync: bool = False, lock_timeout: float = 10.0,
-                 next_txn_id: int = 1,
-                 generation: GenerationResult | None = None,
-                 workload: list[Statement] | None = None,
-                 tmp_dir: str | None = None):
+                 next_txn_id: int = 1, tmp_dir: str | None = None):
         self.schema = schema
-        self.views = rewrite.views
-        self.trees = trees
-        self.rewrite = rewrite
-        self.view_indexes = view_indexes
-        self.maintenance_indexes = maintenance_indexes
+        baseline = baseline_transform(schema, workload)
+        self.workload = baseline.statements
+        self.generation = generate_candidate_views(
+            build_schema_graph(schema), schema, self.workload, roots)
+        self.trees = self.generation.trees
+        self.rewrite = rewrite_workload(self.workload, self.trees, schema)
+        self.views = self.rewrite.views
+        self.view_indexes = recommend_view_indexes(self.rewrite.statements,
+                                                   self.views)
+        self.maintenance_indexes = recommend_maintenance_indexes(
+            self.views, self.workload, schema, existing=self.view_indexes)
         self.catalog = build_catalog(
-            schema, self.views, view_indexes + maintenance_indexes,
-            [t.root for t in trees])
+            schema, self.views, self.view_indexes + self.maintenance_indexes,
+            [t.root for t in self.trees])
         self.store = Store()
         for handle in self.catalog.all_handles():
             self.store.create_table(handle)
         self.wal = WriteAheadLog(wal_path, fsync=fsync)
         self.txn = TransactionManager(self.store, self.catalog, self.views,
-                                      trees, self.wal, next_txn_id=next_txn_id,
+                                      self.trees, self.wal,
+                                      next_txn_id=next_txn_id,
                                       lock_timeout=lock_timeout)
         self.engine = QueryEngine(self.store, self.catalog)
-        self.generation = generation
-        self.workload = workload or []
         self._views_by_path = {v.relations: v for v in self.views}
         self._tmp_dir = tmp_dir
         self.recovery = None
@@ -129,16 +121,6 @@ class Database:
                roots: tuple[str, ...] | None = None,
                data_dir: str | None = None, fsync: bool = False,
                lock_timeout: float = 10.0) -> "Database":
-        graph = build_schema_graph(schema)
-        baseline = baseline_transform(schema, workload)
-        generation = generate_candidate_views(graph, schema,
-                                              baseline.statements, roots)
-        rewrite = rewrite_workload(baseline.statements, generation.trees,
-                                   schema)
-        view_indexes = recommend_view_indexes(rewrite.statements,
-                                              rewrite.views)
-        maintenance_indexes = recommend_maintenance_indexes(
-            rewrite.views, baseline.statements, schema, existing=view_indexes)
         tmp_dir = None
         if data_dir is None:
             data_dir = tmp_dir = tempfile.mkdtemp(prefix="synergy-")
@@ -146,10 +128,8 @@ class Database:
             os.makedirs(data_dir, exist_ok=True)
         wal_path = os.path.join(data_dir, WAL_FILE)
         try:
-            return cls(schema, list(generation.trees), rewrite, view_indexes,
-                       maintenance_indexes, wal_path, fsync, lock_timeout,
+            return cls(schema, workload, roots, wal_path, fsync, lock_timeout,
                        next_txn_id=wal_high_water(read_wal(wal_path)) + 1,
-                       generation=generation, workload=baseline.statements,
                        tmp_dir=tmp_dir)
         except BaseException:
             if tmp_dir is not None:
@@ -242,44 +222,48 @@ class Database:
     # -- persistence ------------------------------------------------------------------
 
     def save(self, data_dir: str) -> None:
+        """Checkpoint into ``data_dir``: every file is written under a
+        temporary name first and renamed into place only once all are
+        written, so a failure leaves the previous checkpoint as it was."""
         os.makedirs(data_dir, exist_ok=True)
-        save_schema(self.schema, os.path.join(data_dir, SCHEMA_FILE))
-        pipeline = {
-            "roots": [t.root for t in self.trees],
-            "trees": [_tree_to_dict(t) for t in self.trees],
-            "views": [v.to_dict() for v in self.views],
-            "view_indexes": [index_to_dict(i) for i in self.view_indexes],
-            "maintenance_indexes": [index_to_dict(i)
-                                    for i in self.maintenance_indexes],
-            "workload": [render_statement(s) for s in self.workload],
-            "rewritten": [render_statement(s)
-                          for s in self.rewrite.statements],
-        }
-        with open(os.path.join(data_dir, PIPELINE_FILE), "w",
-                  encoding="utf-8") as fh:
-            json.dump(pipeline, fh, indent=2)
-            fh.write("\n")
-        self.store.save_snapshot(os.path.join(data_dir, SNAPSHOT_FILE))
-        wal_dest = os.path.join(data_dir, WAL_FILE)
-        if os.path.abspath(self.wal.path) != os.path.abspath(wal_dest):
-            shutil.copyfile(self.wal.path, wal_dest)
+        pipeline = {"roots": [t.root for t in self.trees],
+                    "workload": [render_statement(s) for s in self.workload]}
+        writers = {SCHEMA_FILE: lambda tmp: save_schema(self.schema, tmp),
+                   PIPELINE_FILE: lambda tmp: pathlib.Path(tmp).write_text(
+                       json.dumps(pipeline, indent=2) + "\n", encoding="utf-8"),
+                   SNAPSHOT_FILE: self.store.save_snapshot}
+        if os.path.abspath(self.wal.path) != os.path.abspath(
+                os.path.join(data_dir, WAL_FILE)):
+            writers[WAL_FILE] = lambda tmp: shutil.copyfile(self.wal.path, tmp)
+        paths = [os.path.join(data_dir, name) for name in writers]
+        try:
+            for path, write in zip(paths, writers.values()):
+                write(path + ".tmp")
+        except BaseException:
+            for path in paths:
+                if os.path.exists(path + ".tmp"):
+                    os.remove(path + ".tmp")
+            raise
+        for path in paths:
+            if self.wal.fsync:
+                _fsync(path + ".tmp")
+            os.replace(path + ".tmp", path)
+        if self.wal.fsync:
+            _fsync(data_dir)
 
     @classmethod
     def open(cls, data_dir: str, fsync: bool = False,
              lock_timeout: float = 10.0) -> "Database":
+        """Plan again from the saved schema, roots and workload, load the
+        snapshot, and replay unfinished transactions; recovery sets the
+        next transaction id."""
         schema = load_schema(os.path.join(data_dir, SCHEMA_FILE))
         with open(os.path.join(data_dir, PIPELINE_FILE),
                   encoding="utf-8") as fh:
             pipeline = json.load(fh)
-        views = [ViewDef.from_dict(v) for v in pipeline["views"]]
-        rewrite = RewriteResult(
-            [parse_statement(t) for t in pipeline["rewritten"]], views, {})
-        db = cls(schema, [_tree_from_dict(t) for t in pipeline["trees"]],
-                 rewrite,
-                 [index_from_dict(i) for i in pipeline["view_indexes"]],
-                 [index_from_dict(i) for i in pipeline["maintenance_indexes"]],
-                 os.path.join(data_dir, WAL_FILE), fsync, lock_timeout,
-                 workload=[parse_statement(t) for t in pipeline["workload"]])
+        db = cls(schema, [parse_statement(t) for t in pipeline["workload"]],
+                 tuple(pipeline["roots"]), os.path.join(data_dir, WAL_FILE),
+                 fsync, lock_timeout)
         snapshot = os.path.join(data_dir, SNAPSHOT_FILE)
         try:
             if os.path.exists(snapshot):
@@ -289,3 +273,11 @@ class Database:
             db.close()
             raise
         return db
+
+
+def _fsync(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

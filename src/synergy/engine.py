@@ -9,9 +9,11 @@ visit scans its table once and buckets the rows on the join attribute,
 and every later visit probes the bucket for the outer value instead of
 re-scanning.  The buckets live for one execution attempt only; rows come
 out in the same order as the nested loop would give them.  Rows surfaced
-from a view or view-index carrying the dirty mark, including any met while
-building a hash step, abort the statement, which restarts from scratch
-(bounded retries); returned rows never expose the mark.
+from a view or view-index carrying the dirty mark abort the statement,
+which restarts from scratch (bounded retries); returned rows never expose
+the mark.  A hash step checks the mark on the rows a probe returns, not
+on every row of its build, so a marked row no outer row reaches costs
+nothing.
 
 A ``QueryEngine`` plans each distinct statement once and keeps the plan
 for every later execution: the catalog is fixed when the engine is built,
@@ -263,13 +265,11 @@ class _DirtyRow(Exception):
 
 def _hash_rows(step: AccessStep, store: Store) -> dict:
     """One full scan of the step's table bucketed on its probe attribute,
-    each bucket in key order; raises _DirtyRow on a marked row."""
+    each bucket in key order; the probe loop checks the dirty mark of the
+    rows it takes out."""
     attr = step.probe.attr
-    check_dirty = step.check_dirty
     buckets: dict = {}
     for key, cells in store.scan(step.scan_table):
-        if check_dirty and cells.get(DIRTY):
-            raise _DirtyRow()
         buckets.setdefault(cells.get(attr), []).append((key, cells))
     return buckets
 

@@ -71,21 +71,6 @@ def company_workload() -> list[Statement]:
     return parse_workload(COMPANY_WORKLOAD)
 
 
-COMPANY_WRITES = """\
-INSERT INTO Address (AID, Astreet, Acity) VALUES (?, ?, ?)
-INSERT INTO Department (DNo, DName) VALUES (?, ?)
-INSERT INTO Employee (EID, EName, ESalary, EHome_AID, EOffice_AID, E_DNo) VALUES (?, ?, ?, ?, ?, ?)
-INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (?, ?, ?)
-UPDATE Employee SET ESalary = ? WHERE EID = ?
-UPDATE Works_On SET Hours = ? WHERE WO_EID = ? AND WO_PNo = ?
-DELETE FROM Works_On WHERE WO_EID = ? AND WO_PNo = ?
-"""
-
-
-def company_write_workload() -> list[Statement]:
-    return parse_workload(COMPANY_WRITES)
-
-
 def populate_company(db, employees: int = 20, seed: int = 1) -> None:
     rng = random.Random(seed)
     addresses = max(2, employees)

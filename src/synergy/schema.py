@@ -142,15 +142,6 @@ class Edge:
         return (f"{self.src} -> {self.dst} "
                 f"({', '.join(self.pk)} -> {', '.join(self.fk)})")
 
-    def to_list(self) -> list:
-        """JSON form: [src, dst, pk, fk name, fk]."""
-        return [self.src, self.dst, list(self.pk), self.fk_name, list(self.fk)]
-
-    @classmethod
-    def from_list(cls, doc: list) -> "Edge":
-        src, dst, pk, fk_name, fk = doc
-        return cls(src, dst, tuple(pk), fk_name, tuple(fk))
-
 
 @dataclass(frozen=True)
 class SchemaGraph:
@@ -405,17 +396,6 @@ def baseline_transform(schema: SchemaDef, workload: list[Statement]) -> Baseline
 
 # -- JSON schema files -------------------------------------------------------
 
-def index_to_dict(idx: IndexDef) -> dict:
-    return {"name": idx.name, "base": idx.base,
-            "attributes": list(idx.attributes),
-            "indexed_on": list(idx.indexed_on)}
-
-
-def index_from_dict(doc: dict) -> IndexDef:
-    return IndexDef(doc["name"], doc["base"], tuple(doc["attributes"]),
-                    tuple(doc["indexed_on"]))
-
-
 def schema_to_dict(schema: SchemaDef) -> dict:
     return {
         "relations": [
@@ -431,7 +411,10 @@ def schema_to_dict(schema: SchemaDef) -> dict:
             }
             for r in schema.relations.values()
         ],
-        "indexes": [index_to_dict(i) for i in schema.indexes],
+        "indexes": [{"name": i.name, "base": i.base,
+                     "attributes": list(i.attributes),
+                     "indexed_on": list(i.indexed_on)}
+                    for i in schema.indexes],
         "roots": list(schema.roots),
     }
 
@@ -450,7 +433,9 @@ def schema_from_dict(doc: dict) -> SchemaDef:
         if rel.name in relations:
             raise SchemaError(f"duplicate relation {rel.name!r}")
         relations[rel.name] = rel
-    indexes = tuple(index_from_dict(i) for i in doc.get("indexes", ()))
+    indexes = tuple(IndexDef(i["name"], i["base"], tuple(i["attributes"]),
+                             tuple(i["indexed_on"]))
+                    for i in doc.get("indexes", ()))
     schema = SchemaDef(relations, indexes, tuple(doc.get("roots", ())))
     schema.validate()
     # resolve referenced primary keys up front

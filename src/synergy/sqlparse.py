@@ -417,13 +417,19 @@ def parse_statement(text: str) -> Statement:
 
 
 def parse_workload(text: str) -> list[Statement]:
-    """Parse a workload file: one statement per line, ``#`` comments ignored."""
+    """Parse a workload file: one statement per line; a ``#`` outside a
+    quoted literal starts a comment."""
     statements = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = _BEFORE_COMMENT.match(raw).group().strip()
         if line:
             statements.append(parse_statement(line))
     return statements
+
+
+#: a line up to its first ``#`` outside quotes ('' escapes read as two
+#: adjacent literals; an unterminated literal runs to the end of the line)
+_BEFORE_COMMENT = re.compile(r"(?:[^'#]|'[^']*'?)*")
 
 
 def load_workload(path) -> list[Statement]:

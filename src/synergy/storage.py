@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from sortedcontainers import SortedDict
 
@@ -199,9 +199,7 @@ class Store:
             return True
 
     def scan(self, table: str, start: bytes | None = None,
-             end: bytes | None = None,
-             where: Callable[[dict], bool] | None = None,
-             ) -> Iterator[tuple[bytes, dict]]:
+             end: bytes | None = None) -> Iterator[tuple[bytes, dict]]:
         """Stream committed rows in key order over [start, end).
 
         The (key, row) pairs are snapshotted atomically per table, so one
@@ -216,9 +214,7 @@ class Store:
                 rows = t.rows
                 snapshot = [(k, rows[k]) for k in
                             t.rows.irange(start, end, inclusive=(True, False))]
-        for k, cells in snapshot:
-            if where is None or where(cells):
-                yield k, cells
+        yield from snapshot
 
     def count(self, table: str) -> int:
         return len(self._table(table).rows)

@@ -38,26 +38,6 @@ class ViewDef:
     def last(self) -> str:
         return self.relations[-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "relations": list(self.relations),
-            "edges": [e.to_list() for e in self.edges],
-            "attributes": list(self.attributes),
-            "key": list(self.key),
-            "provenance": list(self.provenance),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ViewDef":
-        return cls(
-            name=doc["name"],
-            relations=tuple(doc["relations"]),
-            edges=tuple(Edge.from_list(e) for e in doc["edges"]),
-            attributes=tuple(doc["attributes"]),
-            key=tuple(doc["key"]),
-            provenance=list(doc["provenance"]))
-
 
 def view_name_for(relations) -> str:
     return "V_" + "_".join(relations)
@@ -194,7 +174,6 @@ def rewrite_query(q: SelectJoin, selected: list[ViewDef]) -> SelectJoin:
 class RewriteResult:
     statements: list[Statement]            # workload with reads rewritten
     views: list[ViewDef]
-    per_query: dict[int, list[str]]        # workload position -> view names
 
 
 def rewrite_workload(workload: list[Statement], trees: list[RootedTree],
@@ -202,16 +181,14 @@ def rewrite_workload(workload: list[Statement], trees: list[RootedTree],
     views = select_views(workload, trees, schema)
     by_path = {v.relations: v for v in views}
     rewritten: list[Statement] = []
-    per_query: dict[int, list[str]] = {}
-    for position, stmt in enumerate(workload):
+    for stmt in workload:
         if isinstance(stmt, SelectJoin) and stmt.joins:
             chosen = [by_path[cv.relations]
                       for cv in select_views_for_query(stmt, trees)]
-            per_query[position] = [v.name for v in chosen]
             rewritten.append(rewrite_query(stmt, chosen))
         else:
             rewritten.append(stmt)
-    return RewriteResult(rewritten, views, per_query)
+    return RewriteResult(rewritten, views)
 
 
 # -- index recommendation --------------------------------------------------------

@@ -1,16 +1,27 @@
 """End-to-end flows that cut across modules: string and composite keys,
-lock timeouts surfacing through the write path, and restart recovery via
-the persisted data directory."""
+lock timeouts surfacing through the write path, restart recovery via the
+persisted data directory, and ``open`` planning again from the saved
+inputs."""
+
+import itertools
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from synergy.db import Database
-from synergy.errors import LockTimeout, SnapshotCorruptionError
+from synergy import storage
+from synergy.cli import format_generation_report
+from synergy.db import PIPELINE_FILE, Database
+from synergy.errors import (LockTimeout, SnapshotCorruptionError,
+                            UnknownTableError)
 from synergy.fixtures import (FIXTURES, build_fixture, company_schema,
                               company_workload, populate, populate_company,
-                              tpcw_micro_schema, tpcw_micro_workload)
+                              populate_tpcw_micro, tpcw_micro_schema,
+                              tpcw_micro_workload)
 from synergy.schema import LOCK, ForeignKey, IndexDef, RelationDef, SchemaDef
-from synergy.sqlparse import parse_statement, parse_workload
+from synergy.sqlparse import parse_statement, parse_workload, render_statement
 from synergy.storage import encode_key
 from synergy.txn import CrashInjected, read_wal, pending_transactions
 
@@ -338,5 +349,132 @@ def test_open_assembles_the_catalog_that_create_built(tmp_path, fixture):
                          if h.kind == LOCK]
         assert locks == ["LK_" + root for root in db.schema.roots]
         assert reopened.store.table_names() == db.store.table_names()
+    finally:
+        reopened.close()
+
+
+# -- one plan source: open plans again from the saved inputs -------------------
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_open_reports_the_plan_that_create_made(tmp_path, fixture):
+    data_dir = str(tmp_path / "d")
+    db = Database.create(*build_fixture(fixture), data_dir=data_dir)
+    try:
+        report = format_generation_report(db)
+        db.save(data_dir)
+    finally:
+        db.close()
+    with open(os.path.join(data_dir, PIPELINE_FILE), encoding="utf-8") as fh:
+        assert sorted(json.load(fh)) == ["roots", "workload"]
+    reopened = Database.open(data_dir)
+    try:
+        assert format_generation_report(reopened) == report
+    finally:
+        reopened.close()
+
+
+def test_roots_override_survives_save_and_open(tmp_path):
+    data_dir = str(tmp_path / "d")
+    roots = ("Department", "Address")      # the schema says Address first
+    db = Database.create(company_schema(), company_workload(), roots=roots,
+                         data_dir=data_dir)
+    try:
+        assert [t.root for t in db.trees] == list(roots)
+        populate_company(db, employees=6, seed=4)
+        db.save(data_dir)
+    finally:
+        db.close()
+    reopened = Database.open(data_dir)
+    try:
+        assert reopened.trees == db.trees
+        assert reopened.views == db.views
+        assert reopened.catalog.all_handles() == db.catalog.all_handles()
+        report = reopened.verify()
+        assert report.ok, report.describe()
+    finally:
+        reopened.close()
+
+
+OPEN_AND_DESCRIBE = """\
+import json, sys
+from synergy.db import Database
+from synergy.sqlparse import render_statement
+db = Database.open(sys.argv[1])
+print(json.dumps([[repr(h) for h in db.catalog.all_handles()],
+                  [render_statement(s) for s in db.rewrite.statements]]))
+db.close()
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "77"])
+def test_open_under_another_hash_seed_plans_the_same(tmp_path, hash_seed):
+    data_dir = str(tmp_path / "d")
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=data_dir)
+    try:
+        db.save(data_dir)
+        expected = [[repr(h) for h in db.catalog.all_handles()],
+                    [render_statement(s) for s in db.rewrite.statements]]
+    finally:
+        db.close()
+    src = os.path.dirname(os.path.dirname(storage.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", OPEN_AND_DESCRIBE, data_dir],
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == expected
+
+
+def test_open_refuses_a_workload_that_lost_a_read(tmp_path):
+    """Without Q2 the plan has no Customer-Order-Order_line view, so the
+    snapshot names tables the catalog lacks: open fails instead of serving
+    a short catalog."""
+    data_dir = str(tmp_path / "d")
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=data_dir)
+    try:
+        populate_tpcw_micro(db, scale=2, ratio=2, seed=1)
+        db.save(data_dir)
+        q2 = render_statement(db.workload[1])
+    finally:
+        db.close()
+    path = os.path.join(data_dir, PIPELINE_FILE)
+    with open(path, encoding="utf-8") as fh:
+        pipeline = json.load(fh)
+    pipeline["workload"].remove(q2)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(pipeline, fh)
+    with pytest.raises(UnknownTableError,
+                       match="M_V_Customer_Order_Order_line_O_ID"):
+        Database.open(data_dir)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    data_dir = str(tmp_path / "d")
+    db = Database.create(company_schema(), company_workload())
+    try:
+        populate_company(db, employees=6, seed=5)
+        db.save(data_dir)
+        first = db.execute("SELECT * FROM Employee as e WHERE e.EID = 1")
+        db.execute("UPDATE Employee SET ESalary = 12345 WHERE EID = 1")
+        real, cells = storage._encode_cell, itertools.count()
+
+        def failing(value):         # the snapshot has hundreds of cells
+            if next(cells) == 40:
+                raise OSError("disk full")
+            return real(value)
+
+        monkeypatch.setattr(storage, "_encode_cell", failing)
+        with pytest.raises(OSError, match="disk full"):
+            db.save(data_dir)
+    finally:
+        db.close()
+    assert sorted(os.listdir(data_dir)) == [
+        "pipeline.json", "schema.json", "snapshot.bin", "wal.bin"]
+    reopened = Database.open(data_dir)
+    try:
+        report = reopened.verify()
+        assert report.ok, report.describe()
+        assert reopened.execute(
+            "SELECT * FROM Employee as e WHERE e.EID = 1") == first
     finally:
         reopened.close()

@@ -281,11 +281,19 @@ def test_marked_row_in_a_hashed_view_step_forces_rescan():
         step = db.engine.plan(stmt).steps[1]
         assert step.probe is not None and step.check_dirty
         assert len(db.execute(stmt)) == 4
-        # a row no probe reaches: the build meets it, as a full scan would
-        key, cells = next((k, c) for k, c in db.store.scan(step.scan_table)
-                          if c["C_ID"] == 2)
-        db.store.put(step.scan_table, key, dict(cells, **{DIRTY: True}))
+
+        def mark(customer):
+            key, cells = next((k, c) for k, c in
+                              db.store.scan(step.scan_table)
+                              if c["C_ID"] == customer)
+            db.store.put(step.scan_table, key, dict(cells, **{DIRTY: True}))
+
         db.engine.max_rescans = 3
+        # a marked row no probe reaches does not abort the read
+        mark(2)
+        assert len(db.execute(stmt)) == 4
+        # a marked row the probe returns does
+        mark(1)
         with pytest.raises(DirtyReadTimeout):
             db.execute(stmt)
     finally:

@@ -174,6 +174,14 @@ def test_workload_file_comments_and_blanks():
     assert isinstance(stmts[1], Delete)
 
 
+def test_workload_hash_inside_a_literal_is_not_a_comment():
+    stmt = parse_statement(
+        "SELECT * FROM Customer as c WHERE c.C_UNAME = 'a#b''#'")
+    text = render_statement(stmt) + "  # trailing 'comment'\n"
+    assert parse_workload(text) == [stmt]
+    assert stmt.filters[0].value == "a#b'#"
+
+
 # -- round-trip property -------------------------------------------------------
 
 _KEYWORDS = {"select", "from", "where", "and", "as", "insert", "into",

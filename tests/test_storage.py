@@ -104,14 +104,6 @@ def test_scan_is_half_open_and_sorted():
     assert len(set(all_keys)) == len(all_keys)
 
 
-def test_scan_filter_pushdown():
-    store, _ = make_store()
-    for i in range(10):
-        store.put("T", k(i), {"v": i})
-    got = [c["v"] for _, c in store.scan("T", where=lambda c: c["v"] % 2)]
-    assert got == [1, 3, 5, 7, 9]
-
-
 def test_prefix_range_matches_only_extensions():
     store, handle = make_store(("string", "int"))
     store.put("T", encode_key(("C4", 2), handle.key_types), {"v": 0})
