@@ -31,11 +31,10 @@ from .schema import (BASE, INDEX, LOCK, LOCK_COLUMN, VIEW, SchemaDef,
 from .sqlparse import (SelectJoin, Statement, WriteStatement, bind_params,
                        parse_statement, render_statement)
 from .storage import DIRTY, Store, key_of
-from .txn import TransactionManager, WriteAheadLog, read_wal, wal_high_water
+from .txn import TransactionManager, WriteAheadLog
 from .viewgen import generate_candidate_views
 from .viewselect import (recommend_maintenance_indexes, recommend_view_indexes,
-                         rewrite_query, rewrite_workload,
-                         select_views_for_query)
+                         rewrite_statement, rewrite_workload)
 
 WAL_FILE = "wal.bin"
 SNAPSHOT_FILE = "snapshot.bin"
@@ -85,7 +84,7 @@ class Database:
     def __init__(self, schema: SchemaDef, workload: list[Statement],
                  roots: tuple[str, ...] | None, wal_path: str,
                  fsync: bool = False, lock_timeout: float = 10.0,
-                 next_txn_id: int = 1, tmp_dir: str | None = None):
+                 tmp_dir: str | None = None):
         self.schema = schema
         baseline = baseline_transform(schema, workload)
         self.workload = baseline.statements
@@ -107,10 +106,8 @@ class Database:
         self.wal = WriteAheadLog(wal_path, fsync=fsync)
         self.txn = TransactionManager(self.store, self.catalog, self.views,
                                       self.trees, self.wal,
-                                      next_txn_id=next_txn_id,
                                       lock_timeout=lock_timeout)
         self.engine = QueryEngine(self.store, self.catalog)
-        self._views_by_path = {v.relations: v for v in self.views}
         self._tmp_dir = tmp_dir
         self.recovery = None
 
@@ -127,9 +124,11 @@ class Database:
         else:
             os.makedirs(data_dir, exist_ok=True)
         wal_path = os.path.join(data_dir, WAL_FILE)
+        # a new database starts a new log: an earlier database's log left
+        # here would otherwise be replayed into this one by the next open
+        open(wal_path, "wb").close()
         try:
             return cls(schema, workload, roots, wal_path, fsync, lock_timeout,
-                       next_txn_id=wal_high_water(read_wal(wal_path)) + 1,
                        tmp_dir=tmp_dir)
         except BaseException:
             if tmp_dir is not None:
@@ -158,10 +157,7 @@ class Database:
 
     def rewrite_statement(self, stmt: SelectJoin) -> SelectJoin:
         """Rewrite an ad-hoc query using whichever selected views exist."""
-        chosen = [self._views_by_path[cv.relations]
-                  for cv in select_views_for_query(stmt, self.trees)
-                  if cv.relations in self._views_by_path]
-        return rewrite_query(stmt, chosen)
+        return rewrite_statement(stmt, self.trees, self.views)
 
     # -- verification --------------------------------------------------------------
 

@@ -1,46 +1,30 @@
-"""View-maintenance planning: applicability tests and view-row construction.
+"""View-maintenance planning: view-row construction for admitted writes.
 
 All functions here only read through the supplied reader (anything with
 ``get``/``scan``) and plan view rows only; the index rows those rows imply,
-and every mutation, are the transaction layer's job.  Inserts and deletes
-apply to a view only when the written relation is the view's last relation;
-updates apply whenever the relation occurs in the view.  Inserts construct
-the view tuple by walking the foreign keys upward, one read per ancestor
-relation.
+and every mutation, are the transaction layer's job.  So is choosing the
+views: an insert or delete maps to the views whose last relation it
+writes, an update to every view holding its relation.  Every statement
+here has passed ``schema.check_write``: it pins its relation's key and
+assigns no key or foreign-key attribute.  Inserts construct the view tuple
+by walking the foreign keys upward, one read per ancestor relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import SchemaError, UnsupportedUpdate
 from .schema import StoreCatalog
 from .sqlparse import Insert, Update
 from .storage import DIRTY, encode_key, key_of, prefix_range
 from .viewselect import ViewDef
 
 
-def insert_applies(view: ViewDef, relation: str) -> bool:
-    return relation == view.last
-
-
-def delete_applies(view: ViewDef, relation: str) -> bool:
-    # no cascading deletes: only the last relation's rows map 1:1 to view rows
-    return relation == view.last
-
-
-def update_applies(view: ViewDef, relation: str) -> bool:
-    return relation in view.relations
-
-
 def key_values_from_filters(stmt, primary_key: tuple[str, ...]) -> tuple:
-    """Primary-key values pinned by equality filters, in key order."""
+    """Primary-key values pinned by equality filters, in key order (an
+    admitted write pins every one)."""
     eq = {f.ref.name: f.value for f in stmt.filters if f.op == "="}
-    try:
-        return tuple(eq[a] for a in primary_key)
-    except KeyError as e:
-        raise SchemaError(
-            f"statement does not pin key attribute {e.args[0]!r}") from None
+    return tuple(eq[a] for a in primary_key)
 
 
 def parent_key(edge, row: dict, catalog: StoreCatalog) -> bytes | None:
@@ -58,9 +42,6 @@ def build_insert_view_tuple(view: ViewDef, insert: Insert, reader,
                             catalog: StoreCatalog):
     """View row for a base insert, or None when an ancestor row is missing
     (inner-join semantics).  Performs exactly one read per ancestor."""
-    if not insert_applies(view, insert.relation):
-        raise ValueError(f"insert into {insert.relation} does not "
-                         f"apply to {view.name}")
     values = insert.value_map
     collected = [values]
     for edge in reversed(view.edges):
@@ -79,26 +60,10 @@ def build_insert_view_tuple(view: ViewDef, insert: Insert, reader,
 
 @dataclass
 class UpdatePlan:
+    """``plan_update_rows``' result; benchmark tracing counts its rows."""
     view: str
     #: (view key, stored row, replacement cells) per view row touched
     rows: list[tuple[bytes, dict, dict]] = field(default_factory=list)
-
-
-def validate_update(update: Update, schema) -> None:
-    """Reject assignments that touch primary-key or foreign-key attributes;
-    view membership changes are out of contract."""
-    rel = schema.relation(update.relation)
-    frozen = set(rel.primary_key)
-    for fk in rel.foreign_keys:
-        frozen.update(fk.attrs)
-    names = set(rel.attr_names)
-    for attr, _ in update.assignments:
-        if attr not in names:
-            raise SchemaError(
-                f"relation {rel.name} has no attribute {attr!r}")
-        if attr in frozen:
-            raise UnsupportedUpdate(
-                f"assignment to key attribute {rel.name}.{attr}")
 
 
 def plan_update_rows(view: ViewDef, update: Update, reader,
@@ -110,10 +75,6 @@ def plan_update_rows(view: ViewDef, update: Update, reader,
     else via a view-index keyed on the relation's primary key, else by a
     full view scan.
     """
-    if not update_applies(view, update.relation):
-        raise ValueError(f"update of {update.relation} does not "
-                         f"apply to {view.name}")
-    validate_update(update, catalog.schema)
     rel = catalog.schema.relation(update.relation)
     key_vals = key_values_from_filters(update, rel.primary_key)
     view_handle = catalog.handle(view.name)

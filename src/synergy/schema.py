@@ -7,6 +7,11 @@ the (primary key, foreign key) attribute tuples.  ``baseline_transform``
 maps a relational schema and workload onto the key-value store: one table
 per relation keyed by its encoded primary key, one table per index keyed
 by the index attributes followed by the base primary key.
+
+``check_write`` is the one rule for whether a write can run; the baseline
+transform, the transaction manager and recovery all call it, and nothing
+after it checks again.  ``value_fits`` is the one type rule, shared by
+admission and the key encoder.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import CycleError, SchemaError, UnknownTableError
-from .sqlparse import Insert, SelectJoin, Statement, Update
+from .errors import (CycleError, SchemaError, UnknownTableError,
+                     UnsupportedUpdate)
+from .sqlparse import Insert, Placeholder, SelectJoin, Statement, Update
 
 INT = "int"
 STRING = "string"
@@ -327,54 +333,55 @@ class BaselineResult:
     rejected: list[tuple[Statement, str]] = field(default_factory=list)
 
 
-def _write_key_coverage(schema: SchemaDef, stmt: Statement) -> str | None:
-    """Reason the write is inadmissible, or None if it names its full key."""
-    if isinstance(stmt, Insert):
-        rel = schema.relation(stmt.relation)
-        given = {a for a, _ in stmt.values}
-        unknown = given - set(rel.attr_names)
-        if unknown:
-            return f"unknown attribute {sorted(unknown)[0]!r}"
-        missing = [a for a in rel.primary_key if a not in given]
-    else:
-        rel = schema.relation(stmt.relation)
-        eq = {f.ref.name for f in stmt.filters if f.op == "="}
-        missing = [a for a in rel.primary_key if a not in eq]
-    if missing:
-        return f"key attribute {missing[0]!r} not specified"
-    return None
+def value_fits(value, vtype: str) -> bool:
+    """The one rule for a value of a declared type: ints exclude bools."""
+    if vtype == INT:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return vtype == STRING and isinstance(value, str)
 
 
-def _write_type_mismatch(schema: SchemaDef, stmt: Statement) -> str | None:
-    """Reason a bound write carries a value its attribute's declared type
-    rejects (the key encoder's rule: ints exclude bools), or None."""
+def check_write(schema: SchemaDef, stmt: Statement) -> None:
+    """The one admission rule for writes.  Raises SchemaError for an
+    attribute the relation lacks (in VALUES, SET or WHERE), a key attribute
+    not pinned (in VALUES, or by an equality filter), or a bound value its
+    attribute's type rejects (placeholders pass); UnsupportedUpdate for an
+    assignment to a key or foreign-key attribute, which would move a row
+    between view paths; UnknownTableError for an unknown relation."""
     rel = schema.relation(stmt.relation)
     types = rel.attr_types
     if isinstance(stmt, Insert):
         pairs = list(stmt.values)
+        pinned = {a for a, _ in pairs}
     else:
         pairs = [(f.ref.name, f.value) for f in stmt.filters]
+        pinned = {f.ref.name for f in stmt.filters if f.op == "="}
         if isinstance(stmt, Update):
             pairs += stmt.assignments
     for attr, value in pairs:
         vtype = types.get(attr)
-        if vtype == INT:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif vtype == STRING:
-            ok = isinstance(value, str)
-        else:
-            continue
-        if not ok:
-            return f"{rel.name}.{attr} expects {vtype}, got {value!r}"
-    return None
+        if vtype is None:
+            raise SchemaError(
+                f"relation {rel.name} has no attribute {attr!r}")
+        if not (isinstance(value, Placeholder) or value_fits(value, vtype)):
+            raise SchemaError(
+                f"{rel.name}.{attr} expects {vtype}, got {value!r}")
+    for attr in rel.primary_key:
+        if attr not in pinned:
+            raise SchemaError(f"key attribute {attr!r} not specified")
+    if isinstance(stmt, Update):
+        frozen = set(rel.primary_key).union(
+            *(fk.attrs for fk in rel.foreign_keys))
+        for attr, _ in stmt.assignments:
+            if attr in frozen:
+                raise UnsupportedUpdate(
+                    f"assignment to key attribute {rel.name}.{attr}")
 
 
 def baseline_transform(schema: SchemaDef, workload: list[Statement]) -> BaselineResult:
     """Map the schema onto KV tables and admit the runnable workload.
 
-    Every read is kept.  A write is kept only when it pins its relation's
-    full primary key (in VALUES for inserts, as equality filters for
-    updates and deletes); everything else lands in ``rejected``.
+    Every read is kept.  A write is kept only when ``check_write`` admits
+    it; the others land in ``rejected`` with the reason it gives.
     """
     schema.validate()
     catalog = build_catalog(schema)
@@ -386,11 +393,12 @@ def baseline_transform(schema: SchemaDef, workload: list[Statement]) -> Baseline
                 schema.relation(rel_name)     # must resolve
             kept.append(stmt)
             continue
-        reason = _write_key_coverage(schema, stmt)
-        if reason is None:
-            kept.append(stmt)
+        try:
+            check_write(schema, stmt)
+        except (SchemaError, UnsupportedUpdate) as exc:
+            rejected.append((stmt, str(exc)))
         else:
-            rejected.append((stmt, reason))
+            kept.append(stmt)
     return BaselineResult(catalog, kept, rejected)
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional
 from sortedcontainers import SortedDict
 
 from .errors import SchemaError, SnapshotCorruptionError, UnknownTableError
-from .schema import TableHandle
+from .schema import INT, STRING, TableHandle, value_fits
 
 DELIM = b"\x1f"
 ESCAPE = b"\x1b"
@@ -58,16 +58,14 @@ def decode_text(raw: bytes) -> str:
 
 
 def encode_value(value, vtype: str) -> bytes:
-    if vtype == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"expected int key component, got {value!r}")
+    if not value_fits(value, vtype):
+        if vtype not in (INT, STRING):
+            raise SchemaError(f"unknown key type {vtype!r}")
+        raise TypeError(f"expected {vtype} key component, got {value!r}")
+    if vtype == INT:
         return struct.pack(">Q", value + _INT_OFFSET)
-    if vtype == "string":
-        if not isinstance(value, str):
-            raise TypeError(f"expected string key component, got {value!r}")
-        raw = encode_text(value)
-        return raw.replace(ESCAPE, ESCAPE + ESCAPE).replace(DELIM, ESCAPE + DELIM)
-    raise SchemaError(f"unknown key type {vtype!r}")
+    raw = encode_text(value)
+    return raw.replace(ESCAPE, ESCAPE + ESCAPE).replace(DELIM, ESCAPE + DELIM)
 
 
 def encode_key(values: Iterable, types: Iterable[str]) -> bytes:

@@ -19,9 +19,13 @@ rows first and the base row last.  Updates run the six-step procedure:
 lock, read, mark, update, un-mark, release; readers seeing a marked row
 re-scan.
 
+Admission is ``schema.check_write`` alone, run before the begin record
+and the lock: a write pins its relation's full key and assigns no key or
+foreign-key attribute, and the write procedures check none of it again.
+
 The WAL records (txn id, phase, statement text) with a begin before the
-mutations and a commit after.  Recovery applies the same admission as
-``execute_write``, then re-executes every begin without a commit; a
+mutations and a commit after.  Recovery admits each logged statement by
+the same rule, then re-executes every begin without a commit; a
 statement refused or failing there is reported aborted.  Either way it
 gets its commit record.  Replay is idempotent at any crash point because
 of the write order: a row is written after its index rows, so until the
@@ -42,12 +46,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .errors import (LockTimeout, OrphanError, SchemaError, SynergyError,
-                     WalCorruptionError)
+from .errors import LockTimeout, OrphanError, SynergyError, WalCorruptionError
 from .maintenance import (build_insert_view_tuple, key_values_from_filters,
-                          parent_key, plan_update_rows, validate_update)
+                          parent_key, plan_update_rows)
 from .schema import (BASE, INDEX, LOCK_COLUMN, VIEW, StoreCatalog,
-                     TableHandle, _write_key_coverage, _write_type_mismatch)
+                     TableHandle, check_write)
 from .sqlparse import (COMPARE, Delete, Insert, Update, WriteStatement,
                        count_placeholders, parse_statement, render_statement)
 from .storage import (ABSENT, DIRTY, Store, decode_text, encode_key,
@@ -215,7 +218,6 @@ class TxnResult:
 class RecoveryReport:
     replayed: list[tuple[int, str]] = field(default_factory=list)
     aborted: list[tuple[int, str, str]] = field(default_factory=list)
-    next_txn_id: int = 1
 
 
 class TransactionManager:
@@ -223,15 +225,14 @@ class TransactionManager:
 
     def __init__(self, store: Store, catalog: StoreCatalog,
                  views: list[ViewDef], trees: list[RootedTree],
-                 wal: WriteAheadLog, next_txn_id: int = 1,
-                 lock_timeout: float = 10.0):
+                 wal: WriteAheadLog, lock_timeout: float = 10.0):
         self.store = store
         self.catalog = catalog
         self.schema = catalog.schema
         self.views = views
         self.wal = wal
         self.locks = LockManager(store, catalog, lock_timeout)
-        self._ids = itertools.count(next_txn_id)
+        self._ids = itertools.count(1)   # recover() continues a saved log
         self._begin_mutex = threading.Lock()
         self.crash_after_update_step: int | None = None
 
@@ -297,17 +298,6 @@ class TransactionManager:
 
     # -- entry point ----------------------------------------------------------
 
-    def _admit(self, stmt) -> None:
-        """Refuse a statement the write procedures would fail on: a key it
-        does not name, a value its attribute's declared type rejects (the
-        key encoder's rule), an update of a key or foreign-key attribute."""
-        reason = (_write_key_coverage(self.schema, stmt)
-                  or _write_type_mismatch(self.schema, stmt))
-        if reason is not None:
-            raise SchemaError(f"statement not admissible: {reason}")
-        if isinstance(stmt, Update):
-            validate_update(stmt, self.schema)
-
     def execute_write(self, stmt) -> TxnResult:
         if not isinstance(stmt, WriteStatement):
             raise ValueError(f"not a write statement: {stmt!r}")
@@ -315,7 +305,7 @@ class TransactionManager:
             raise ValueError("bind parameters before executing")
         # admission runs before the begin record and the root lock: a
         # refused statement leaves neither behind
-        self._admit(stmt)
+        check_write(self.schema, stmt)
         text = render_statement(stmt)
         # id assignment and the begin record must land in the same order
         with self._begin_mutex:
@@ -512,12 +502,12 @@ class TransactionManager:
         """Re-execute every begin-without-commit transaction from its logged
         statement, then release its lock; runs before serving traffic."""
         records = read_wal(self.wal.path)
-        report = RecoveryReport(next_txn_id=wal_high_water(records) + 1)
-        self._ids = itertools.count(report.next_txn_id)
+        report = RecoveryReport()
+        self._ids = itertools.count(wal_high_water(records) + 1)
         for record in pending_transactions(records):
             stmt = parse_statement(record.statement)
             try:
-                self._admit(stmt)
+                check_write(self.schema, stmt)
                 self._run(stmt, record.txn_id, replay=True)
                 report.replayed.append((record.txn_id, record.statement))
             except SynergyError as exc:

@@ -176,19 +176,23 @@ class RewriteResult:
     views: list[ViewDef]
 
 
+def rewrite_statement(stmt: Statement, trees: list[RootedTree],
+                      views: list[ViewDef]) -> Statement:
+    """``stmt`` over whichever of ``views`` its selection picks; a write,
+    or a query picking none of them, comes back unchanged."""
+    if not isinstance(stmt, SelectJoin) or not stmt.joins:
+        return stmt
+    by_path = {v.relations: v for v in views}
+    return rewrite_query(stmt, [
+        by_path[cv.relations] for cv in select_views_for_query(stmt, trees)
+        if cv.relations in by_path])
+
+
 def rewrite_workload(workload: list[Statement], trees: list[RootedTree],
                      schema: SchemaDef) -> RewriteResult:
     views = select_views(workload, trees, schema)
-    by_path = {v.relations: v for v in views}
-    rewritten: list[Statement] = []
-    for stmt in workload:
-        if isinstance(stmt, SelectJoin) and stmt.joins:
-            chosen = [by_path[cv.relations]
-                      for cv in select_views_for_query(stmt, trees)]
-            rewritten.append(rewrite_query(stmt, chosen))
-        else:
-            rewritten.append(stmt)
-    return RewriteResult(rewritten, views)
+    return RewriteResult(
+        [rewrite_statement(stmt, trees, views) for stmt in workload], views)
 
 
 # -- index recommendation --------------------------------------------------------

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from synergy import storage
+from synergy import storage, txn
 from synergy.cli import format_generation_report
 from synergy.db import PIPELINE_FILE, Database
 from synergy.errors import (LockTimeout, SnapshotCorruptionError,
@@ -23,7 +23,8 @@ from synergy.fixtures import (FIXTURES, build_fixture, company_schema,
 from synergy.schema import LOCK, ForeignKey, IndexDef, RelationDef, SchemaDef
 from synergy.sqlparse import parse_statement, parse_workload, render_statement
 from synergy.storage import encode_key
-from synergy.txn import CrashInjected, read_wal, pending_transactions
+from synergy.txn import (CrashInjected, WriteAheadLog, read_wal,
+                         pending_transactions)
 
 
 def string_key_schema():
@@ -235,6 +236,40 @@ def test_second_open_after_recovery_replays_nothing(tmp_path):
         assert second.verify().ok
     finally:
         second.close()
+
+
+def test_create_over_an_earlier_database_starts_a_new_log(tmp_path,
+                                                          monkeypatch):
+    data_dir = str(tmp_path / "d")
+    earlier = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                              data_dir=data_dir)
+    earlier.execute("INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) "
+                    "VALUES (1, 'u', 0)")
+
+    def crash(*args):
+        raise CrashInjected("crash while building the view row")
+
+    monkeypatch.setattr(txn, "build_insert_view_tuple", crash)
+    with pytest.raises(CrashInjected):
+        earlier.execute("INSERT INTO Order (O_ID, O_C_ID, O_STATUS, O_TOTAL) "
+                        "VALUES (1, 1, 's', 5)")
+    monkeypatch.undo()
+    earlier.wal.close()
+
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=data_dir)
+    with open(db.wal.path, "rb") as fh:
+        assert fh.read() == WriteAheadLog.MAGIC
+    db.save(data_dir)
+    db.close()
+    reopened = Database.open(data_dir)
+    try:
+        assert reopened.recovery.replayed == []
+        assert reopened.store.count("Order") == 0
+        report = reopened.verify()
+        assert report.ok, report.describe()
+    finally:
+        reopened.close()
 
 
 def test_ad_hoc_rewrite_uses_only_materialized_views():

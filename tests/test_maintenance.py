@@ -4,12 +4,9 @@ import pytest
 
 from synergy import oracle
 from synergy.db import Database
-from synergy.errors import UnsupportedUpdate
 from synergy.fixtures import (company_schema, company_workload,
                               tpcw_micro_schema, tpcw_micro_workload)
-from synergy.maintenance import (build_insert_view_tuple, delete_applies,
-                                 insert_applies, plan_update_rows,
-                                 update_applies)
+from synergy.maintenance import build_insert_view_tuple, plan_update_rows
 from synergy.schema import ForeignKey, RelationDef, SchemaDef
 from synergy.sqlparse import Insert, parse_statement
 from synergy.storage import encode_key
@@ -48,21 +45,6 @@ def company_db():
 
 def view_by_name(db, name):
     return next(v for v in db.views if v.name == name)
-
-
-def test_insert_applies_only_to_last_relation(orders_db):
-    v_co = view_by_name(orders_db, "V_Customer_Order")
-    assert insert_applies(v_co, "Order") is True
-    assert insert_applies(v_co, "Customer") is False
-    assert delete_applies(v_co, "Order") is True
-    assert delete_applies(v_co, "Customer") is False
-
-
-def test_update_applies_to_any_member_relation(company_db):
-    v_ew = view_by_name(company_db, "V_Employee_Works_On")
-    assert update_applies(v_ew, "Employee") is True
-    assert update_applies(v_ew, "Works_On") is True
-    assert update_applies(v_ew, "Address") is False
 
 
 def test_insert_tuple_walks_ancestor_chain(orders_db):
@@ -246,23 +228,6 @@ def test_update_plan_uses_maintenance_index_without_scanning(orders_db):
     plan = plan_update_rows(view, update, reader, db.catalog)
     assert sorted(new["OL_ID"] for _, _, new in plan.rows) == [21, 22]
     assert reader.scans == 1          # one index prefix scan, no view scan
-
-
-def test_update_plan_for_uninvolved_relation_raises(orders_db):
-    view = view_by_name(orders_db, "V_Customer_Order")
-    update = parse_statement("UPDATE Order_line SET OL_QTY = 2 WHERE OL_ID = 1")
-    with pytest.raises(ValueError):
-        plan_update_rows(view, update, orders_db.store, orders_db.catalog)
-
-
-def test_update_touching_foreign_key_is_unsupported(orders_db):
-    view = view_by_name(orders_db, "V_Customer_Order")
-    update = parse_statement("UPDATE Order SET O_C_ID = 9 WHERE O_ID = 1")
-    with pytest.raises(UnsupportedUpdate):
-        plan_update_rows(view, update, orders_db.store, orders_db.catalog)
-    update_pk = parse_statement("UPDATE Order SET O_ID = 9 WHERE O_ID = 1")
-    with pytest.raises(UnsupportedUpdate):
-        plan_update_rows(view, update_pk, orders_db.store, orders_db.catalog)
 
 
 def test_replay_equivalence_random_mutations(orders_db):

@@ -1,7 +1,8 @@
 import pytest
 
 from synergy.errors import CycleError, SchemaError, UnknownTableError
-from synergy.fixtures import company_schema, company_workload
+from synergy.fixtures import (company_schema, company_workload,
+                              tpcw_micro_schema, tpcw_micro_workload)
 from synergy.schema import (ForeignKey, IndexDef, RelationDef, SchemaDef,
                             baseline_transform, build_schema_graph,
                             load_schema, save_schema, schema_from_dict,
@@ -156,6 +157,22 @@ def test_baseline_output_subset_and_rejects_are_writes():
     for stmt, reason in result.rejected:
         assert not stmt.__class__.__name__ == "SelectJoin"
         assert "key attribute" in reason
+
+
+def test_baseline_rejects_writes_every_execution_refuses():
+    workload = tpcw_micro_workload()
+    refused = parse_workload(
+        "UPDATE Order SET O_C_ID = ? WHERE O_ID = ?\n"
+        "UPDATE Customer SET C_BALANCE = ? WHERE C_ID = ? AND NOPE = ?\n"
+        "DELETE FROM Order_line WHERE OL_ID = 'x'\n")
+    result = baseline_transform(tpcw_micro_schema(), workload + refused)
+    # the well-formed placeholder writes stay, as does every read
+    assert result.statements == workload
+    assert [stmt for stmt, _ in result.rejected] == refused
+    reasons = [reason for _, reason in result.rejected]
+    assert "O_C_ID" in reasons[0]
+    assert "NOPE" in reasons[1]
+    assert "OL_ID" in reasons[2]
 
 
 def test_baseline_unknown_relation_raises():

@@ -220,6 +220,12 @@ def test_mistyped_key_is_rejected_before_the_lock(db):
                    "VALUES ('x', 1, 's', 9)")
     with pytest.raises(SchemaError):
         db.execute("UPDATE Order SET O_TOTAL = 1 WHERE O_ID = 'x'")
+    # an attribute the relation lacks, in WHERE as in VALUES or SET
+    for text in ("UPDATE Customer SET C_BALANCE = 5 "
+                 "WHERE C_ID = 1 AND NOPE = 3",
+                 "DELETE FROM Customer WHERE C_ID = 1 AND NOPE = 3"):
+        with pytest.raises(SchemaError, match="NOPE"):
+            db.execute(text)
     assert len(read_wal(db.wal.path)) == records
     assert not db.txn.locks.held("Customer", key_of(1))
     assert db.verify().locks_held == 0
@@ -467,7 +473,7 @@ def test_txn_ids_resume_from_wal_high_water(db, tmp_path):
 
 def manager_like(db) -> TransactionManager:
     return TransactionManager(db.store, db.catalog, db.views, db.trees,
-                              db.wal, next_txn_id=10_000)
+                              db.wal)
 
 
 @pytest.mark.parametrize("step", [1, 2, 3, 4, 5, 6])
