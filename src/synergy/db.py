@@ -123,9 +123,12 @@ class Database:
             data_dir = tmp_dir = tempfile.mkdtemp(prefix="synergy-")
         else:
             os.makedirs(data_dir, exist_ok=True)
+        # a new database starts with no checkpoint and a new log: an earlier
+        # database's files left here would otherwise be loaded, or replayed,
+        # into this one by the next open
+        for name in (SCHEMA_FILE, PIPELINE_FILE, SNAPSHOT_FILE):
+            pathlib.Path(data_dir, name).unlink(missing_ok=True)
         wal_path = os.path.join(data_dir, WAL_FILE)
-        # a new database starts a new log: an earlier database's log left
-        # here would otherwise be replayed into this one by the next open
         open(wal_path, "wb").close()
         try:
             return cls(schema, workload, roots, wal_path, fsync, lock_timeout,

@@ -15,12 +15,25 @@ components stay clear of C0 control characters (below 0x20).
 ``key_of`` is the one rule for the key a row has in a table (base, view
 or index): its ``key_attrs`` values, encoded; a row lacking one of them
 has no row in that table.
+
+A snapshot (``SYKV2``) is the magic, a table count, then one section per
+table in name order.  A section holds the table name, a row count and a
+column count (the sorted union of the rows' cell names), and the keys in
+key order as one array of lengths plus one byte blob.  Each column then
+holds its name, one tag byte per row (int, str, bool or absent), its ints
+as one array of signed 64-bit integers, its bools as raw bytes, and its
+strings as code-point lengths plus one UTF-8 blob that also carries lone
+surrogates.  Names are UTF-8 behind a 16-bit length, counts and lengths
+are 32-bit, a column's UTF-8 byte length 64-bit, all big-endian.  Loading
+checks every count and that the last section ends the file, so a cut
+anywhere is caught.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
+from itertools import accumulate, compress, repeat
 from typing import Iterable, Iterator, Optional
 
 from sortedcontainers import SortedDict
@@ -219,83 +232,162 @@ class Store:
 
     # -- snapshot persistence ------------------------------------------------
 
-    _MAGIC = b"SYKV1\n"
+    _MAGIC = b"SYKV2\n"
+    _OLD_MAGIC = b"SYKV1\n"
 
     def save_snapshot(self, path) -> None:
-        """Write every cell as a length-prefixed (table, key, column, value)
-        record; deterministic for a given store state."""
+        """Write one columnar section per table (layout in the module
+        docstring); deterministic for a given store state."""
         with open(path, "wb") as fh:
-            fh.write(self._MAGIC)
+            fh.write(self._MAGIC + struct.pack(">I", len(self._tables)))
             for name in sorted(self._tables):
                 t = self._tables[name]
-                tn = name.encode("utf-8")
                 with t.lock:
-                    items = list(t.rows.items())
-                for key, cells in items:
-                    for col in sorted(cells):
-                        rec = bytearray()
-                        rec += struct.pack(">H", len(tn)) + tn
-                        rec += struct.pack(">H", len(key)) + key
-                        cn = col.encode("utf-8")
-                        rec += struct.pack(">H", len(cn)) + cn
-                        rec += _encode_cell(cells[col])
-                        fh.write(rec)
+                    keys, rows = list(t.rows.keys()), list(t.rows.values())
+                fh.write(_encode_section(name, keys, rows))
 
     def load_snapshot(self, path) -> None:
-        """Apply snapshot records to the (already created) tables; a bad
-        magic, a cut record, a bad cell tag or undecodable text raises
-        SnapshotCorruptionError before any row is applied."""
+        """Load a snapshot into the (already created) tables.  The whole file
+        is parsed before any row is applied: a table the store lacks raises
+        UnknownTableError; a bad magic, a cut anywhere, a count that does not
+        match, a bad cell tag or undecodable text raise
+        SnapshotCorruptionError.  Each table is then filled in one bulk
+        update under its lock."""
         with open(path, "rb") as fh:
             data = fh.read()
+        if data.startswith(self._OLD_MAGIC):
+            raise SnapshotCorruptionError(
+                "snapshot is in the old SYKV1 format, which is no longer "
+                "read; only SYKV2 snapshots load")
         if not data.startswith(self._MAGIC):
             raise SnapshotCorruptionError("not a snapshot file")
-        pos = len(self._MAGIC)
-        staged: dict[tuple[str, bytes], dict] = {}
+        reader = _Reader(data, len(self._MAGIC))
+        staged = []
         try:
-            while pos < len(data):
-                table, pos = _read_chunk(data, pos)
-                key, pos = _read_chunk(data, pos, raw=True)
-                column, pos = _read_chunk(data, pos)
-                value, pos = _decode_cell(data, pos)
-                staged.setdefault((table, key), {})[column] = value
-        except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            for _ in range(reader.array("I", 1)[0]):
+                table = self._table(reader.name())
+                staged.append((table, _decode_section(reader)))
+        except UnicodeDecodeError as exc:
             raise SnapshotCorruptionError(
-                f"unreadable snapshot record: {exc}") from None
-        # a slice past the end comes back short: only the position shows
-        # that the last chunk was cut
-        if pos > len(data):
-            raise SnapshotCorruptionError("snapshot ends inside a record")
-        for (table, key), cells in staged.items():
-            self.put(table, key, cells)
+                f"undecodable snapshot text: {exc}") from None
+        if reader.pos != len(data):
+            raise SnapshotCorruptionError("bytes after the last section")
+        for table, pairs in staged:
+            with table.lock:
+                table.rows.update(pairs)
 
 
-def _encode_cell(value) -> bytes:
+# -- snapshot sections ---------------------------------------------------------
+
+#: cell tags, one byte per row in every column
+_INT, _STR, _BOOL, _NONE = range(4)
+_TAG_OF = {int: _INT, str: _STR, bool: _BOOL, _Absent: _NONE}
+#: bytes.translate tables that map one tag to 1 and every other byte to 0
+_IS_TAG = {tag: bytes(int(b == tag) for b in range(256))
+           for tag in (_INT, _STR, _BOOL)}
+
+
+def _tag(value) -> int:
     if isinstance(value, bool):
-        return struct.pack(">BB", 2, int(value))
+        return _BOOL
     if isinstance(value, int):
-        return struct.pack(">Bq", 0, value)
+        return _INT
     if isinstance(value, str):
-        raw = encode_text(value)
-        return struct.pack(">BI", 1, len(raw)) + raw
+        return _STR
+    if value is ABSENT:
+        return _NONE
     raise TypeError(f"unsupported cell value {value!r}")
 
 
-def _decode_cell(data: bytes, pos: int):
-    tag = data[pos]
-    pos += 1
-    if tag == 2:
-        return bool(data[pos]), pos + 1
-    if tag == 0:
-        return struct.unpack_from(">q", data, pos)[0], pos + 8
-    if tag == 1:
-        (n,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        return decode_text(data[pos:pos + n]), pos + n
-    raise SnapshotCorruptionError(f"bad cell tag {tag}")
+def _encode_name(name: str) -> bytes:
+    raw = name.encode("utf-8")
+    return struct.pack(">H", len(raw)) + raw
 
 
-def _read_chunk(data: bytes, pos: int, raw: bool = False):
-    (n,) = struct.unpack_from(">H", data, pos)
-    pos += 2
-    chunk = data[pos:pos + n]
-    return (chunk if raw else chunk.decode("utf-8")), pos + n
+def _encode_section(name: str, keys: list[bytes], rows: list[dict]) -> bytes:
+    columns = sorted(set().union(*rows))
+    parts = [_encode_name(name), struct.pack(">II", len(keys), len(columns)),
+             struct.pack(f">{len(keys)}I", *map(len, keys)), b"".join(keys)]
+    for col in columns:
+        parts.append(_encode_name(col))
+        parts += _encode_column([row.get(col, ABSENT) for row in rows])
+    return b"".join(parts)
+
+
+def _encode_column(values: list) -> list[bytes]:
+    try:
+        tags = bytes(map(_TAG_OF.__getitem__, map(type, values)))
+    except KeyError:            # a subclass of a cell type, or no cell type
+        tags = bytes(map(_tag, values))
+    ints, strs, bools = (list(compress(values, tags.translate(_IS_TAG[t])))
+                         for t in (_INT, _STR, _BOOL))
+    text = encode_text("".join(strs))
+    return [tags, struct.pack(f">{len(ints)}q", *ints), bytes(bools),
+            struct.pack(f">{len(strs)}I", *map(len, strs)),
+            struct.pack(">Q", len(text)), text]
+
+
+class _Reader:
+    """Cursor over snapshot bytes; reading past the end is corruption."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes, pos: int):
+        self.data, self.pos = data, pos
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise SnapshotCorruptionError("snapshot ends inside a section")
+        chunk = self.data[self.pos:end]
+        self.pos = end
+        return chunk
+
+    def array(self, code: str, n: int) -> tuple:
+        fmt = f">{n}{code}"
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def name(self) -> str:
+        return self.take(self.array("H", 1)[0]).decode("utf-8")
+
+
+def _split(blob, lengths) -> list:
+    """Cut ``blob`` into consecutive pieces of the given lengths."""
+    ends = list(accumulate(lengths))
+    if (ends[-1] if ends else 0) != len(blob):
+        raise SnapshotCorruptionError("lengths do not add up to the data")
+    return [blob[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _decode_section(reader: _Reader) -> list[tuple[bytes, dict]]:
+    n_rows, n_cols = reader.array("I", 2)
+    lengths = reader.array("I", n_rows)
+    keys = _split(reader.take(sum(lengths)), lengths)
+    rows = [{} for _ in keys]
+    for _ in range(n_cols):         # sorted names: each row's cells in order
+        name = reader.name()
+        for row, value in zip(rows, _decode_column(reader, n_rows)):
+            if value is not ABSENT:
+                row[name] = value
+    return list(zip(keys, rows))
+
+
+def _decode_column(reader: _Reader, n: int) -> list:
+    """A column's values in row order, ABSENT where a row has no cell."""
+    tags = reader.take(n)
+    counts = [tags.count(t) for t in (_INT, _STR, _BOOL, _NONE)]
+    if sum(counts) != n:
+        raise SnapshotCorruptionError("bad cell tag")
+    ints = reader.array("q", counts[_INT])
+    raw_bools = reader.take(counts[_BOOL])
+    if raw_bools.translate(None, b"\x00\x01"):
+        raise SnapshotCorruptionError("bad bool cell")
+    lengths = reader.array("I", counts[_STR])
+    text = decode_text(reader.take(reader.array("Q", 1)[0]))
+    kinds = [ints, _split(text, lengths), list(map(bool, raw_bools)),
+             repeat(ABSENT)]
+    for tag in (_INT, _STR, _BOOL):
+        if counts[tag] == n:        # one kind only: no per-cell dispatch
+            return kinds[tag]
+    its = [iter(kind) for kind in kinds]
+    return [next(its[t]) for t in tags]

@@ -254,17 +254,24 @@ def test_create_over_an_earlier_database_starts_a_new_log(tmp_path,
         earlier.execute("INSERT INTO Order (O_ID, O_C_ID, O_STATUS, O_TOTAL) "
                         "VALUES (1, 1, 's', 5)")
     monkeypatch.undo()
-    earlier.wal.close()
+
+    earlier.save(data_dir)
+    earlier.close()
 
     db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
                          data_dir=data_dir)
     with open(db.wal.path, "rb") as fh:
         assert fh.read() == WriteAheadLog.MAGIC
+    # no checkpoint of the earlier database is left to load
+    assert os.listdir(data_dir) == ["wal.bin"]
+    with pytest.raises(FileNotFoundError):
+        Database.open(data_dir)
     db.save(data_dir)
     db.close()
     reopened = Database.open(data_dir)
     try:
         assert reopened.recovery.replayed == []
+        assert reopened.store.count("Customer") == 0
         assert reopened.store.count("Order") == 0
         report = reopened.verify()
         assert report.ok, report.describe()
@@ -491,14 +498,14 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
         db.save(data_dir)
         first = db.execute("SELECT * FROM Employee as e WHERE e.EID = 1")
         db.execute("UPDATE Employee SET ESalary = 12345 WHERE EID = 1")
-        real, cells = storage._encode_cell, itertools.count()
+        real, columns = storage._encode_column, itertools.count()
 
-        def failing(value):         # the snapshot has hundreds of cells
-            if next(cells) == 40:
+        def failing(values):        # partway through dozens of columns
+            if next(columns) == 12:
                 raise OSError("disk full")
-            return real(value)
+            return real(values)
 
-        monkeypatch.setattr(storage, "_encode_cell", failing)
+        monkeypatch.setattr(storage, "_encode_column", failing)
         with pytest.raises(OSError, match="disk full"):
             db.save(data_dir)
     finally:

@@ -1,12 +1,14 @@
+import os
+import tempfile
 import threading
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from synergy.errors import SnapshotCorruptionError, UnknownTableError
 from synergy.schema import TableHandle
-from synergy.storage import (ABSENT, Store, decode_key, encode_key,
+from synergy.storage import (ABSENT, DIRTY, Store, decode_key, encode_key,
                              prefix_range)
 
 
@@ -190,25 +192,106 @@ def test_snapshot_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def two_table_store():
+    """Two tables whose cells cover every tag: int, str, bool, absent."""
+    store, t = make_store(("int",), ("n", "mixed", "flag"), name="T")
+    u = TableHandle("U", "base", ("k0",), ("string",), ("txt",))
+    store.create_table(u)
+    store.put("T", k(1), {"n": -7, "mixed": "h\u00e9llo", "flag": True})
+    store.put("T", k(2), {"n": 2, "mixed": 5})              # flag absent
+    store.put("U", k("a"), {"txt": "zz", DIRTY: True})
+    return store, (t, u)
+
+
 def test_damaged_snapshot_raises_a_typed_error_and_applies_nothing(tmp_path):
-    store, handle = make_store(("int",), ("s",))
-    store.put("T", k(1), {"s": "ab"})
+    store, handles = two_table_store()
     path = tmp_path / "snap.bin"
     store.save_snapshot(path)
     data = path.read_bytes()
-    tag = len(data) - len(b"ab") - 4 - 1      # one record: tag, length, text
-    damaged = [b"SYKV2" + data[5:],                       # bad magic
-               data[:tag] + b"\x09" + data[tag + 1:],      # bad cell tag
-               data[:-2] + b"\xff\xff"]                    # undecodable text
-    # cut anywhere inside the record: a chunk, the tag, the length or text
-    damaged += [data[:cut] for cut in range(len(b"SYKV1\n") + 1, len(data))]
+    tag = data.index(b"mixed") + len(b"mixed")      # first tag of "mixed"
+    text = data.index("h\u00e9llo".encode())
+    damaged = [b"XYKV2" + data[5:],                        # bad magic
+               data[:tag] + b"\x09" + data[tag + 1:],       # bad cell tag
+               data[:text] + b"\xff\xff" + data[text + 2:],  # undecodable text
+               data + b"\x00"]                              # trailing byte
+    # cut anywhere: in the header, inside a section or between two sections
+    damaged += [data[:cut] for cut in range(len(data))]
     for raw in damaged:
         path.write_bytes(raw)
         fresh = Store()
-        fresh.create_table(handle)
+        for handle in handles:
+            fresh.create_table(handle)
         with pytest.raises(SnapshotCorruptionError):
             fresh.load_snapshot(path)
-        assert fresh.count("T") == 0
+        assert fresh.count("T") == fresh.count("U") == 0
+
+
+def test_snapshot_in_the_old_format_is_refused_by_name(tmp_path):
+    path = tmp_path / "snap.bin"
+    path.write_bytes(b"SYKV1\n\x00\x01T\x00\x08" + k(1)
+                     + b"\x00\x01v\x00" + (7).to_bytes(8, "big"))
+    store, _ = make_store()
+    with pytest.raises(SnapshotCorruptionError, match="SYKV1"):
+        store.load_snapshot(path)
+    assert store.count("T") == 0
+
+
+def test_snapshot_naming_an_unknown_table_applies_nothing(tmp_path):
+    store, (t, _) = two_table_store()
+    path = tmp_path / "snap.bin"
+    store.save_snapshot(path)
+    fresh = Store()
+    fresh.create_table(t)
+    with pytest.raises(UnknownTableError, match="'U'"):
+        fresh.load_snapshot(path)
+    assert fresh.count("T") == 0
+
+
+def typed_rows(store, table):
+    """Rows with each cell's type, so True and 1 differ."""
+    return [(key, [(c, type(v), v) for c, v in sorted(cells.items())])
+            for key, cells in store.scan(table)]
+
+
+_cell_values = st.one_of(
+    st.integers(-(2 ** 63), 2 ** 63 - 1),
+    st.sampled_from([2 ** 63 - 1, -(2 ** 63 - 1), 0]),
+    st.text(st.characters() | st.characters(categories=["Cs"])
+            | st.sampled_from("\x1b\x1f")),
+    st.just(""),
+    st.booleans())
+_rows = st.fixed_dictionaries({}, optional={
+    "a": _cell_values, "b": _cell_values, "c": _cell_values,
+    DIRTY: st.just(True)})
+_tables = st.dictionaries(st.sampled_from(["A", "B", "C_x"]),
+                          st.dictionaries(st.binary(max_size=10), _rows,
+                                          max_size=6))
+
+
+@settings(deadline=None)
+@given(_tables)
+def test_snapshot_codec_round_trips_every_cell(tables):
+    def store_of(contents):
+        store = Store()
+        for name in contents:
+            store.create_table(TableHandle(name, "base", ("k0",), ("int",),
+                                           ("a", "b", "c")))
+        return store
+
+    store = store_of(tables)
+    for name, rows in tables.items():
+        for key, cells in rows.items():
+            store.put(name, key, cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "1"), os.path.join(tmp, "2")
+        store.save_snapshot(first)
+        fresh = store_of(tables)
+        fresh.load_snapshot(first)
+        fresh.save_snapshot(second)
+        for name in tables:
+            assert typed_rows(fresh, name) == typed_rows(store, name)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
 
 # -- single-key linearizability, brute-force checked ---------------------------
