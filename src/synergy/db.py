@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from . import oracle
 from .engine import QueryEngine
+from .errors import MissingCheckpointError
 from .schema import (BASE, INDEX, LOCK, LOCK_COLUMN, VIEW, SchemaDef,
                      baseline_transform, build_catalog, build_schema_graph,
                      load_schema, save_schema)
@@ -255,11 +256,18 @@ class Database:
              lock_timeout: float = 10.0) -> "Database":
         """Plan again from the saved schema, roots and workload, load the
         snapshot, and replay unfinished transactions; recovery sets the
-        next transaction id."""
-        schema = load_schema(os.path.join(data_dir, SCHEMA_FILE))
-        with open(os.path.join(data_dir, PIPELINE_FILE),
-                  encoding="utf-8") as fh:
-            pipeline = json.load(fh)
+        next transaction id.  A directory without a checkpoint (never
+        created, or created and not yet saved) raises
+        MissingCheckpointError."""
+        try:
+            schema = load_schema(os.path.join(data_dir, SCHEMA_FILE))
+            with open(os.path.join(data_dir, PIPELINE_FILE),
+                      encoding="utf-8") as fh:
+                pipeline = json.load(fh)
+        except FileNotFoundError as exc:
+            raise MissingCheckpointError(
+                f"no checkpoint in {data_dir}: "
+                f"{os.path.basename(exc.filename)} is missing") from None
         db = cls(schema, [parse_statement(t) for t in pipeline["workload"]],
                  tuple(pipeline["roots"]), os.path.join(data_dir, WAL_FILE),
                  fsync, lock_timeout)

@@ -56,3 +56,7 @@ class WalCorruptionError(SynergyError):
 
 class SnapshotCorruptionError(SynergyError):
     """Structurally invalid checkpoint snapshot content."""
+
+
+class MissingCheckpointError(SynergyError):
+    """A data directory to open holds no checkpoint."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .schema import StoreCatalog
 from .sqlparse import Insert, Update
-from .storage import DIRTY, encode_key, key_of, prefix_range
+from .storage import DIRTY, key_encoder, key_of, prefix_range
 from .viewselect import ViewDef
 
 
@@ -35,7 +35,7 @@ def parent_key(edge, row: dict, catalog: StoreCatalog) -> bytes | None:
         values = tuple(row[a] for a in edge.fk)
     except KeyError:
         return None
-    return encode_key(values, catalog.handle(edge.src).key_types)
+    return key_encoder(catalog.handle(edge.src).key_types)(values)
 
 
 def build_insert_view_tuple(view: ViewDef, insert: Insert, reader,
@@ -82,7 +82,7 @@ def plan_update_rows(view: ViewDef, update: Update, reader,
 
     located: list[tuple[bytes, dict]] = []
     if update.relation == view.last:
-        vkey = encode_key(key_vals, view_handle.key_types)
+        vkey = key_encoder(view_handle.key_types)(key_vals)
         row = reader.get(view.name, vkey)
         if row is not None:
             located.append((vkey, row))

@@ -11,7 +11,8 @@ by the index attributes followed by the base primary key.
 ``check_write`` is the one rule for whether a write can run; the baseline
 transform, the transaction manager and recovery all call it, and nothing
 after it checks again.  ``value_fits`` is the one type rule, shared by
-admission and the key encoder.
+admission and the key encoder; its ints stay in the signed 64-bit range
+of SQL literals, keys and snapshots.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 
 from .errors import (CycleError, SchemaError, UnknownTableError,
                      UnsupportedUpdate)
-from .sqlparse import Insert, Placeholder, SelectJoin, Statement, Update
+from .sqlparse import (INT64_MAX, INT64_MIN, Insert, Placeholder, SelectJoin,
+                       Statement, Update)
 
 INT = "int"
 STRING = "string"
@@ -334,9 +336,11 @@ class BaselineResult:
 
 
 def value_fits(value, vtype: str) -> bool:
-    """The one rule for a value of a declared type: ints exclude bools."""
+    """The one rule for a value of a declared type: ints exclude bools and
+    stay in the 64-bit range that keys, snapshots and SQL literals hold."""
     if vtype == INT:
-        return isinstance(value, int) and not isinstance(value, bool)
+        return (isinstance(value, int) and not isinstance(value, bool)
+                and INT64_MIN <= value <= INT64_MAX)
     return vtype == STRING and isinstance(value, str)
 
 

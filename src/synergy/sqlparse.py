@@ -29,8 +29,9 @@ _OPS = ("<=", ">=", "=", "<", ">")
 #: each comparison operator's test on (stored value, filter value)
 COMPARE = {"=": operator.eq, "<": operator.lt, ">": operator.gt,
            "<=": operator.le, ">=": operator.ge}
-_INT64_MIN = -(2 ** 63)
-_INT64_MAX = 2 ** 63 - 1
+#: the one range of an int value, in a literal and in a bound value alike
+INT64_MIN = -(2 ** 63)
+INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -378,7 +379,7 @@ class _Parser:
         tok = self.advance()
         if tok.kind == "int":
             v = int(tok.text)
-            if not _INT64_MIN <= v <= _INT64_MAX:
+            if not INT64_MIN <= v <= INT64_MAX:
                 self.error("integer literal outside 64-bit range", tok)
             return v
         if tok.kind == "string":

@@ -12,6 +12,14 @@ as fixed-width big-endian with the sign bit flipped.  Decoding is exact
 for every value; byte order matches tuple order as long as string
 components stay clear of C0 control characters (below 0x20).
 
+``key_encoder`` compiles one encoder per key shape (a tuple of key
+types), once: for all-int shapes a single ``struct`` format with the 0x1F
+delimiters in it and a body unrolled over the arity, for other shapes a
+list of per-component encoders.  Its bytes equal ``encode_key``'s, which
+stays the reference and the one path that raises: the compiled encoder
+hands it any value tuple it cannot take.  Ints are limited to the signed
+64-bit range by ``schema.value_fits``, the one admission rule.
+
 ``key_of`` is the one rule for the key a row has in a table (base, view
 or index): its ``key_attrs`` values, encoded; a row lacking one of them
 has no row in that table.
@@ -31,10 +39,11 @@ anywhere is caught.
 
 from __future__ import annotations
 
+import functools
 import struct
 import threading
 from itertools import accumulate, compress, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from sortedcontainers import SortedDict
 
@@ -46,6 +55,7 @@ ESCAPE = b"\x1b"
 DIRTY = "_dirty"
 
 _INT_OFFSET = 2 ** 63
+_PACK_INT = struct.Struct(">Q").pack
 
 
 class _Absent:
@@ -70,23 +80,80 @@ def decode_text(raw: bytes) -> str:
     return raw.decode("utf-8", "surrogatepass")
 
 
+def _encode_int(value: int) -> bytes:
+    return _PACK_INT(value + _INT_OFFSET)
+
+
+def _encode_str(value: str) -> bytes:
+    raw = encode_text(value)
+    return raw.replace(ESCAPE, ESCAPE + ESCAPE).replace(DELIM, ESCAPE + DELIM)
+
+
+_ENCODE_COMPONENT = {INT: _encode_int, STRING: _encode_str}
+
+
 def encode_value(value, vtype: str) -> bytes:
     if not value_fits(value, vtype):
         if vtype not in (INT, STRING):
             raise SchemaError(f"unknown key type {vtype!r}")
         raise TypeError(f"expected {vtype} key component, got {value!r}")
-    if vtype == INT:
-        return struct.pack(">Q", value + _INT_OFFSET)
-    raw = encode_text(value)
-    return raw.replace(ESCAPE, ESCAPE + ESCAPE).replace(DELIM, ESCAPE + DELIM)
+    return _ENCODE_COMPONENT[vtype](value)
 
 
 def encode_key(values: Iterable, types: Iterable[str]) -> bytes:
+    """The reference key encoder, and the one that raises: TypeError for a
+    wrong arity or a value its type rejects, SchemaError for an unknown
+    type.  ``key_encoder`` gives the same bytes faster."""
     values, types = tuple(values), tuple(types)
     if len(values) != len(types):
         raise TypeError(f"key arity mismatch: {len(values)} values "
                         f"for {len(types)} components")
     return DELIM.join(encode_value(v, t) for v, t in zip(values, types))
+
+
+@functools.cache
+def key_encoder(types: tuple[str, ...]) -> Callable[[Sequence], bytes]:
+    """The compiled encoder of keys of shape ``types``, built once per
+    shape: a function of a value tuple giving ``encode_key``'s bytes.  It
+    tests only each value's exact type; a tuple it cannot take (a wrong
+    type or arity, a bool, an int outside 64 bits) goes to ``encode_key``,
+    so callers see its exceptions."""
+    def reference(values):
+        return encode_key(values, types)
+
+    if not set(types) <= {INT, STRING}:
+        return reference
+    if set(types) == {INT}:
+        # one struct whose format holds the delimiters ('B' slots fed 0x1F)
+        # and a body unrolled over the arity: one type test per value and
+        # one pack call per key
+        names = [f"v{i}" for i in range(len(types))]
+        source = (
+            "def encode(values):\n"
+            "    try:\n"
+            f"        {', '.join(names)}, = values\n"
+            f"        if {' and '.join(f'type({v}) is int' for v in names)}:\n"
+            f"            return pack("
+            f"{f', {DELIM[0]}, '.join(f'{v} + offset' for v in names)})\n"
+            "    except (TypeError, ValueError, struct_error):\n"
+            "        pass\n"
+            "    return reference(values)\n")
+        scope = {"pack": struct.Struct(">Q" + "BQ" * (len(names) - 1)).pack,
+                 "offset": _INT_OFFSET, "struct_error": struct.error,
+                 "reference": reference}
+        exec(source, scope)
+        return scope["encode"]
+    exact = tuple(int if t == INT else str for t in types)
+    parts = [_ENCODE_COMPONENT[t] for t in types]
+
+    def encode(values):
+        if tuple(map(type, values)) == exact:     # arity and exact types
+            try:
+                return DELIM.join([part(v) for part, v in zip(parts, values)])
+            except struct.error:                  # an int outside 64 bits
+                pass
+        return reference(values)
+    return encode
 
 
 def decode_key(key: bytes, types: Iterable[str]) -> tuple:
@@ -128,7 +195,7 @@ def prefix_range(values: Iterable, handle: TableHandle) -> tuple[bytes, bytes]:
     values = tuple(values)
     if len(values) > len(handle.key_attrs):
         raise TypeError("prefix longer than key")
-    prefix = encode_key(values, handle.key_types[:len(values)])
+    prefix = key_encoder(handle.key_types[:len(values)])(values)
     if len(values) == len(handle.key_attrs):
         return prefix, prefix + b"\x00"
     return prefix + DELIM, prefix + b"\x20"
@@ -138,10 +205,10 @@ def key_of(handle: TableHandle, cells: dict) -> bytes | None:
     """Key of the row ``cells`` in ``handle``'s table, or None when the row
     lacks one of ``handle.key_attrs`` (it then has no row there)."""
     try:
-        values = tuple(cells[a] for a in handle.key_attrs)
+        values = tuple(map(cells.__getitem__, handle.key_attrs))
     except KeyError:
         return None
-    return encode_key(values, handle.key_types)
+    return key_encoder(handle.key_types)(values)
 
 
 # -- tables and store ---------------------------------------------------------

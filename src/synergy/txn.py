@@ -40,11 +40,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import LockTimeout, OrphanError, SynergyError, WalCorruptionError
 from .maintenance import (build_insert_view_tuple, key_values_from_filters,
@@ -53,8 +55,8 @@ from .schema import (BASE, INDEX, LOCK_COLUMN, VIEW, StoreCatalog,
                      TableHandle, check_write)
 from .sqlparse import (COMPARE, Delete, Insert, Update, WriteStatement,
                        count_placeholders, parse_statement, render_statement)
-from .storage import (ABSENT, DIRTY, Store, decode_text, encode_key,
-                      encode_text, key_of)
+from .storage import (ABSENT, DIRTY, Store, decode_text, encode_text,
+                      key_encoder, key_of)
 from .viewgen import RootedTree
 from .viewselect import ViewDef
 
@@ -248,14 +250,17 @@ class TransactionManager:
             self._views_last.setdefault(view.last, []).append(view)
             for rel_name in view.relations:
                 self._views_containing.setdefault(rel_name, []).append(view)
-        # resolved once per table: a write's moves look both up per row
-        self._index_handles: dict[str, list[TableHandle]] = {}
+        # resolved once per table: a write's moves look both up per row;
+        # each index handle comes with the getter of its key values
+        self._index_handles: dict[str, list[tuple[TableHandle, Callable]]] = {}
         self._count_field: dict[str, str] = {}
         counted = {BASE: "base_rows", VIEW: "view_rows", INDEX: "index_rows"}
         for handle in catalog.all_handles():
+            index_handles = [catalog.handle(idx.name)
+                             for idx in catalog.indexes_of(handle.name)]
             self._index_handles[handle.name] = [
-                catalog.handle(idx.name)
-                for idx in catalog.indexes_of(handle.name)]
+                (ih, operator.itemgetter(*ih.key_attrs))
+                for ih in index_handles]
             self._count_field[handle.name] = counted.get(handle.kind)
 
     # -- root resolution ---------------------------------------------------
@@ -267,8 +272,8 @@ class TransactionManager:
         if isinstance(stmt, Insert):
             return key_of(handle, stmt.value_map)
         rel = self.schema.relation(stmt.relation)
-        return encode_key(key_values_from_filters(stmt, rel.primary_key),
-                          handle.key_types)
+        return key_encoder(handle.key_types)(
+            key_values_from_filters(stmt, rel.primary_key))
 
     def resolve_root(self, stmt) -> tuple[str, bytes] | None:
         """Root relation and encoded root key covering this write, or None
@@ -377,11 +382,18 @@ class TransactionManager:
         """The writes that take the row of ``table`` at ``key`` from ``old``
         to ``new`` (None: no row), each as (table, old key, new key, new
         cells), a key None on a side without a row: first one per index
-        row, keyed and projected from the row, then the row itself."""
+        row, keyed and projected from the row, then the row itself.  An
+        index row whose key values the move leaves as they were keeps its
+        old key, which is not encoded again."""
         moves = []
-        for ih in self._index_handles[table]:
+        for ih, key_values in self._index_handles[table]:
             old_key = None if old is None else key_of(ih, old)
-            new_key = None if new is None else key_of(ih, new)
+            if new is None:
+                new_key = None
+            elif old_key is not None and _agree(key_values, old, new):
+                new_key = old_key
+            else:
+                new_key = key_of(ih, new)
             if new_key is not None:
                 moves.append((ih.name, old_key, new_key,
                               {a: new[a] for a in ih.columns if a in new}))
@@ -515,6 +527,15 @@ class TransactionManager:
                     (record.txn_id, record.statement, str(exc)))
             self.wal.append(record.txn_id, PHASE_COMMIT, "")
         return report
+
+
+def _agree(key_values: Callable, old: dict, new: dict) -> bool:
+    """Whether ``new`` holds every value ``key_values`` takes from
+    ``old``, each equal: then both rows have the same index key."""
+    try:
+        return key_values(new) == key_values(old)
+    except KeyError:
+        return False
 
 
 def _row_matches(row: dict, filters) -> bool:

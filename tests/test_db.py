@@ -14,8 +14,8 @@ import pytest
 from synergy import storage, txn
 from synergy.cli import format_generation_report
 from synergy.db import PIPELINE_FILE, Database
-from synergy.errors import (LockTimeout, SnapshotCorruptionError,
-                            UnknownTableError)
+from synergy.errors import (LockTimeout, MissingCheckpointError, SchemaError,
+                            SnapshotCorruptionError, UnknownTableError)
 from synergy.fixtures import (FIXTURES, build_fixture, company_schema,
                               company_workload, populate, populate_company,
                               populate_tpcw_micro, tpcw_micro_schema,
@@ -213,6 +213,58 @@ def test_open_of_a_torn_snapshot_raises_a_typed_error(tmp_path):
         Database.open(str(data_dir))
 
 
+@pytest.mark.parametrize("where", ["never created", "created, not saved"])
+def test_open_without_a_checkpoint_raises_a_typed_error(tmp_path, where):
+    data_dir = str(tmp_path / "d")
+    if where != "never created":
+        Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                        data_dir=data_dir).close()
+        assert os.listdir(data_dir) == ["wal.bin"]
+    with pytest.raises(MissingCheckpointError, match=str(tmp_path / "d")):
+        Database.open(data_dir)
+
+
+CUSTOMER_INSERT = ("INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) "
+                   "VALUES (?, ?, ?)")
+
+
+@pytest.mark.parametrize("text, params", [
+    # a key value: it used to fail in key encoding after its begin record,
+    # which no open could then replay
+    (CUSTOMER_INSERT, (2**63, "u", 1)),
+    (CUSTOMER_INSERT, (-(2**63) - 1, "u", 1)),
+    # a non-key value: it used to commit, and every later save failed
+    ("UPDATE Customer SET C_BALANCE = ? WHERE C_ID = ?", (2**70, 1)),
+])
+def test_an_int_outside_64_bits_is_refused_before_the_begin_record(
+        tmp_path, text, params):
+    data_dir = str(tmp_path / "d")
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=data_dir)
+    db.execute(CUSTOMER_INSERT, (1, "u", 0))
+    records = read_wal(db.wal.path)
+    with pytest.raises(SchemaError, match="expects int"):
+        db.execute(text, params)
+    assert read_wal(db.wal.path) == records
+    # the range's own ends are admitted, in keys and in other cells
+    db.execute(CUSTOMER_INSERT, (2**63 - 1, "max", -(2**63)))
+    db.execute(CUSTOMER_INSERT, (-(2**63), "min", 2**63 - 1))
+    db.save(data_dir)
+    db.close()
+    reopened = Database.open(data_dir)
+    try:
+        assert reopened.recovery.replayed == []
+        assert pending_transactions(read_wal(reopened.wal.path)) == []
+        rows = reopened.execute("SELECT * FROM Customer as c "
+                                "WHERE c.C_ID = ?", (2**63 - 1,))
+        assert [r["C_BALANCE"] for r in rows] == [-(2**63)]
+        assert reopened.store.count("Customer") == 3
+        report = reopened.verify()
+        assert report.ok, report.describe()
+    finally:
+        reopened.close()
+
+
 def test_second_open_after_recovery_replays_nothing(tmp_path):
     data_dir = str(tmp_path / "d")
     db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
@@ -264,7 +316,7 @@ def test_create_over_an_earlier_database_starts_a_new_log(tmp_path,
         assert fh.read() == WriteAheadLog.MAGIC
     # no checkpoint of the earlier database is left to load
     assert os.listdir(data_dir) == ["wal.bin"]
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(MissingCheckpointError):
         Database.open(data_dir)
     db.save(data_dir)
     db.close()

@@ -1,3 +1,4 @@
+import enum
 import os
 import tempfile
 import threading
@@ -6,10 +7,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synergy.errors import SnapshotCorruptionError, UnknownTableError
+from synergy.errors import (SchemaError, SnapshotCorruptionError,
+                            UnknownTableError)
 from synergy.schema import TableHandle
 from synergy.storage import (ABSENT, DIRTY, Store, decode_key, encode_key,
-                             prefix_range)
+                             key_encoder, prefix_range)
 
 
 def make_store(key_types=("int",), columns=("v",), name="T"):
@@ -68,6 +70,76 @@ def test_mixed_keys_sort_like_tuples(tuples):
     types = ("string", "int", "string")
     by_bytes = sorted(tuples, key=lambda t: encode_key(t, types))
     assert by_bytes == sorted(tuples)
+
+
+# -- the compiled key encoder against encode_key, the reference ------------------
+
+def compiled(values, types):
+    return key_encoder(tuple(types))(values)
+
+
+def outcome(encode, values, types):
+    """The key bytes, or the type of the exception raised instead."""
+    try:
+        return encode(values, types)
+    except Exception as exc:
+        return type(exc)
+
+
+#: a key component of each type: ints one past each end of the 64-bit
+#: range as well, strings with the escape and delimiter bytes
+COMPONENTS = {
+    "int": st.integers(-(2**63) - 1, 2**63),
+    "string": st.text(st.one_of(st.sampled_from("\x1b\x1f"),
+                                st.characters()), max_size=6),
+}
+
+
+key_shapes = st.lists(st.sampled_from(sorted(COMPONENTS)),
+                      min_size=1, max_size=3).map(tuple)
+
+
+@given(st.data())
+def test_compiled_encoder_equals_encode_key(data):
+    types = data.draw(key_shapes)
+    values = data.draw(st.tuples(*(COMPONENTS[t] for t in types)))
+    assert (outcome(compiled, values, types)
+            == outcome(encode_key, values, types))
+
+
+#: components whose byte order is tuple order: the full int range, strings
+#: clear of C0 control characters
+ORDERED = {"int": st.integers(-(2**63), 2**63 - 1), "string": clean_text}
+
+
+@given(st.data())
+def test_compiled_keys_sort_like_tuples(data):
+    types = data.draw(key_shapes)
+    tuples = data.draw(st.lists(st.tuples(*(ORDERED[t] for t in types)),
+                                min_size=2, max_size=30))
+    by_bytes = sorted(tuples, key=lambda t: compiled(t, types))
+    assert by_bytes == sorted(tuples)
+
+
+@pytest.mark.parametrize("types", [("int",), ("int", "int"),
+                                   ("int", "int", "int"), ("string", "int"),
+                                   ("string",)])
+def test_compiled_encoder_fails_as_encode_key_does(types):
+    """A wrong arity and each bad component raise the same exception type
+    from both; an int subclass gives the same bytes from both."""
+    class Number(enum.IntEnum):
+        SEVEN = 7
+
+    good = tuple(1 if t == "int" else "a" for t in types)
+    cases = [good, good[:-1], good + good[:1]]
+    for i, t in enumerate(types):
+        for bad in ((True, 1.0, "7", Number.SEVEN, 2**63) if t == "int"
+                    else (7, b"a", None)):
+            cases.append(good[:i] + (bad,) + good[i + 1:])
+    for values in cases:
+        assert (outcome(compiled, values, types)
+                == outcome(encode_key, values, types)), values
+    assert outcome(compiled, good + (1.5,), types + ("float",)) is SchemaError
 
 
 @given(st.tuples(st.text(max_size=8), st.integers(-(2**63), 2**63 - 1),

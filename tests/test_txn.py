@@ -7,8 +7,8 @@ from synergy.db import Database
 from synergy.errors import (LockTimeout, OrphanError, SchemaError,
                             UnsupportedUpdate, WalCorruptionError)
 from synergy.fixtures import (company_schema, company_workload,
-                              populate_company, tpcw_micro_schema,
-                              tpcw_micro_workload)
+                              populate_company, populate_tpcw_micro,
+                              tpcw_micro_schema, tpcw_micro_workload)
 from synergy.schema import LOCK_COLUMN
 from synergy.sqlparse import parse_statement
 from synergy.storage import DIRTY, encode_key
@@ -701,6 +701,64 @@ def test_reinsert_pointing_at_missing_parent_drops_view_row(db):
     report = db.verify()
     assert report.ok, report.describe()
     assert db.store.count("V_Customer_Order_Order_line") == 0
+
+
+# -- row moves: an index key is computed once per side ------------------------------
+
+HOURS_INDEX = "X_V_Employee_Works_On_Hours"
+
+
+def hours_key(hours):
+    """Key of employee 5's project 2 row in the Hours index, built by the
+    reference encoder."""
+    return encode_key((hours, 5, 2), ("int", "int", "int"))
+
+
+@pytest.mark.parametrize("text, hours", [
+    # the indexed value changes: the old key goes, the new one comes
+    ("UPDATE Works_On SET Hours = 40 WHERE WO_EID = 5 AND WO_PNo = 2", 40),
+    # no key value of the index changes: its row stays at its key
+    ("UPDATE Employee SET ESalary = 99 WHERE EID = 5", 30),
+    # the new row lacks the indexed value: it has no index row
+    ("INSERT INTO Works_On (WO_EID, WO_PNo) VALUES (5, 2)", None),
+])
+def test_a_row_move_deletes_only_an_index_key_that_changed(tmp_path, text,
+                                                           hours):
+    db = company_with_hours(str(tmp_path / "d"))
+    try:
+        assert [k for k, _ in db.store.scan(HOURS_INDEX)] == [hours_key(30)]
+        deleted = []
+        delete = db.store.delete
+
+        def record(table, key):
+            deleted.append((table, key))
+            return delete(table, key)
+
+        db.store.delete = record
+        db.execute(text)
+        assert deleted == ([] if hours == 30
+                           else [(HOURS_INDEX, hours_key(30))])
+        assert [k for k, _ in db.store.scan(HOURS_INDEX)] == (
+            [] if hours is None else [hours_key(hours)])
+        report = db.verify()
+        assert report.ok, report.describe()
+    finally:
+        db.close()
+
+
+def test_customer_update_at_scale_100_moves_every_row_it_did(tmp_path):
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=str(tmp_path / "data"))
+    try:
+        populate_tpcw_micro(db, scale=100, ratio=10, seed=1)
+        result = db.execute("UPDATE Customer SET C_BALANCE = 7 "
+                            "WHERE C_ID = 42")
+        assert (result.base_rows, result.view_rows,
+                result.index_rows) == (1, 110, 210)
+        report = db.verify()
+        assert report.ok, report.describe()
+    finally:
+        db.close()
 
 
 # -- rows lacking an indexed attribute ---------------------------------------------
