@@ -41,6 +41,8 @@ WAL_FILE = "wal.bin"
 SNAPSHOT_FILE = "snapshot.bin"
 SCHEMA_FILE = "schema.json"
 PIPELINE_FILE = "pipeline.json"
+#: the files ``open`` needs; ``wal.bin`` is made by ``create``
+CHECKPOINT_FILES = (SCHEMA_FILE, PIPELINE_FILE, SNAPSHOT_FILE)
 
 
 @dataclass
@@ -127,7 +129,7 @@ class Database:
         # a new database starts with no checkpoint and a new log: an earlier
         # database's files left here would otherwise be loaded, or replayed,
         # into this one by the next open
-        for name in (SCHEMA_FILE, PIPELINE_FILE, SNAPSHOT_FILE):
+        for name in CHECKPOINT_FILES:
             pathlib.Path(data_dir, name).unlink(missing_ok=True)
         wal_path = os.path.join(data_dir, WAL_FILE)
         open(wal_path, "wb").close()
@@ -256,25 +258,23 @@ class Database:
              lock_timeout: float = 10.0) -> "Database":
         """Plan again from the saved schema, roots and workload, load the
         snapshot, and replay unfinished transactions; recovery sets the
-        next transaction id.  A directory without a checkpoint (never
-        created, or created and not yet saved) raises
-        MissingCheckpointError."""
-        try:
-            schema = load_schema(os.path.join(data_dir, SCHEMA_FILE))
-            with open(os.path.join(data_dir, PIPELINE_FILE),
-                      encoding="utf-8") as fh:
-                pipeline = json.load(fh)
-        except FileNotFoundError as exc:
+        next transaction id.  A directory missing a checkpoint file (never
+        created, created and not yet saved, or its first save cut between
+        two renames) raises MissingCheckpointError."""
+        missing = [name for name in CHECKPOINT_FILES
+                   if not os.path.exists(os.path.join(data_dir, name))]
+        if missing:
             raise MissingCheckpointError(
-                f"no checkpoint in {data_dir}: "
-                f"{os.path.basename(exc.filename)} is missing") from None
+                f"no checkpoint in {data_dir}: {', '.join(missing)} missing")
+        schema = load_schema(os.path.join(data_dir, SCHEMA_FILE))
+        with open(os.path.join(data_dir, PIPELINE_FILE),
+                  encoding="utf-8") as fh:
+            pipeline = json.load(fh)
         db = cls(schema, [parse_statement(t) for t in pipeline["workload"]],
                  tuple(pipeline["roots"]), os.path.join(data_dir, WAL_FILE),
                  fsync, lock_timeout)
-        snapshot = os.path.join(data_dir, SNAPSHOT_FILE)
         try:
-            if os.path.exists(snapshot):
-                db.store.load_snapshot(snapshot)
+            db.store.load_snapshot(os.path.join(data_dir, SNAPSHOT_FILE))
             db.recovery = db.txn.recover()
         except BaseException:
             db.close()

@@ -12,13 +12,13 @@ as fixed-width big-endian with the sign bit flipped.  Decoding is exact
 for every value; byte order matches tuple order as long as string
 components stay clear of C0 control characters (below 0x20).
 
-``key_encoder`` compiles one encoder per key shape (a tuple of key
-types), once: for all-int shapes a single ``struct`` format with the 0x1F
-delimiters in it and a body unrolled over the arity, for other shapes a
-list of per-component encoders.  Its bytes equal ``encode_key``'s, which
-stays the reference and the one path that raises: the compiled encoder
-hands it any value tuple it cannot take.  Ints are limited to the signed
-64-bit range by ``schema.value_fits``, the one admission rule.
+``key_encoder`` builds one encoder per key shape (a tuple of key types),
+once.  The shapes the workloads' keys have, one or two ints, get a
+precompiled ``struct`` with the 0x1F delimiter in its format; every other
+shape uses ``encode_key``.  Their bytes are equal, and ``encode_key``
+stays the reference and the one path that raises: the fast encoder hands
+it any value tuple it cannot take.  Ints are limited to the signed 64-bit
+range by ``schema.value_fits``, the one admission rule.
 
 ``key_of`` is the one rule for the key a row has in a table (base, view
 or index): its ``key_attrs`` values, encoded; a row lacking one of them
@@ -55,7 +55,6 @@ ESCAPE = b"\x1b"
 DIRTY = "_dirty"
 
 _INT_OFFSET = 2 ** 63
-_PACK_INT = struct.Struct(">Q").pack
 
 
 class _Absent:
@@ -80,24 +79,15 @@ def decode_text(raw: bytes) -> str:
     return raw.decode("utf-8", "surrogatepass")
 
 
-def _encode_int(value: int) -> bytes:
-    return _PACK_INT(value + _INT_OFFSET)
-
-
-def _encode_str(value: str) -> bytes:
-    raw = encode_text(value)
-    return raw.replace(ESCAPE, ESCAPE + ESCAPE).replace(DELIM, ESCAPE + DELIM)
-
-
-_ENCODE_COMPONENT = {INT: _encode_int, STRING: _encode_str}
-
-
 def encode_value(value, vtype: str) -> bytes:
     if not value_fits(value, vtype):
         if vtype not in (INT, STRING):
             raise SchemaError(f"unknown key type {vtype!r}")
         raise TypeError(f"expected {vtype} key component, got {value!r}")
-    return _ENCODE_COMPONENT[vtype](value)
+    if vtype == INT:
+        return struct.pack(">Q", value + _INT_OFFSET)
+    raw = encode_text(value)
+    return raw.replace(ESCAPE, ESCAPE + ESCAPE).replace(DELIM, ESCAPE + DELIM)
 
 
 def encode_key(values: Iterable, types: Iterable[str]) -> bytes:
@@ -113,47 +103,42 @@ def encode_key(values: Iterable, types: Iterable[str]) -> bytes:
 
 @functools.cache
 def key_encoder(types: tuple[str, ...]) -> Callable[[Sequence], bytes]:
-    """The compiled encoder of keys of shape ``types``, built once per
-    shape: a function of a value tuple giving ``encode_key``'s bytes.  It
-    tests only each value's exact type; a tuple it cannot take (a wrong
-    type or arity, a bool, an int outside 64 bits) goes to ``encode_key``,
-    so callers see its exceptions."""
+    """The encoder of keys of shape ``types``, built once per shape: a
+    function of a value tuple giving ``encode_key``'s bytes.  For one or
+    two ints it tests only each value's exact type and packs them with
+    one precompiled struct; a tuple it cannot take (a wrong type or arity,
+    a bool, an int outside 64 bits) goes to ``encode_key``, so callers see
+    its exceptions."""
     def reference(values):
         return encode_key(values, types)
 
-    if not set(types) <= {INT, STRING}:
-        return reference
-    if set(types) == {INT}:
-        # one struct whose format holds the delimiters ('B' slots fed 0x1F)
-        # and a body unrolled over the arity: one type test per value and
-        # one pack call per key
-        names = [f"v{i}" for i in range(len(types))]
-        source = (
-            "def encode(values):\n"
-            "    try:\n"
-            f"        {', '.join(names)}, = values\n"
-            f"        if {' and '.join(f'type({v}) is int' for v in names)}:\n"
-            f"            return pack("
-            f"{f', {DELIM[0]}, '.join(f'{v} + offset' for v in names)})\n"
-            "    except (TypeError, ValueError, struct_error):\n"
-            "        pass\n"
-            "    return reference(values)\n")
-        scope = {"pack": struct.Struct(">Q" + "BQ" * (len(names) - 1)).pack,
-                 "offset": _INT_OFFSET, "struct_error": struct.error,
-                 "reference": reference}
-        exec(source, scope)
-        return scope["encode"]
-    exact = tuple(int if t == INT else str for t in types)
-    parts = [_ENCODE_COMPONENT[t] for t in types]
+    # one closure per shape the workloads' keys have: a generic all-int
+    # closure (len check, all(...), pack(*args)) made mixed-rw ~12% slower
+    if types == (INT,):
+        pack = struct.Struct(">Q").pack
 
-    def encode(values):
-        if tuple(map(type, values)) == exact:     # arity and exact types
+        def encode(values):
             try:
-                return DELIM.join([part(v) for part, v in zip(parts, values)])
-            except struct.error:                  # an int outside 64 bits
+                (v,) = values
+                if type(v) is int:
+                    return pack(v + _INT_OFFSET)
+            except (TypeError, ValueError, struct.error):
                 pass
-        return reference(values)
-    return encode
+            return reference(values)
+        return encode
+    if types == (INT, INT):
+        pack = struct.Struct(">QBQ").pack
+
+        def encode(values):
+            try:
+                v, w = values
+                if type(v) is int and type(w) is int:
+                    return pack(v + _INT_OFFSET, DELIM[0], w + _INT_OFFSET)
+            except (TypeError, ValueError, struct.error):
+                pass
+            return reference(values)
+        return encode
+    return reference
 
 
 def decode_key(key: bytes, types: Iterable[str]) -> tuple:

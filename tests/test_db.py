@@ -213,13 +213,32 @@ def test_open_of_a_torn_snapshot_raises_a_typed_error(tmp_path):
         Database.open(str(data_dir))
 
 
-@pytest.mark.parametrize("where", ["never created", "created, not saved"])
-def test_open_without_a_checkpoint_raises_a_typed_error(tmp_path, where):
+@pytest.mark.parametrize("where", ["never created", "created, not saved",
+                                   "first save cut before the snapshot"])
+def test_open_without_a_checkpoint_raises_a_typed_error(
+        tmp_path, monkeypatch, where):
     data_dir = str(tmp_path / "d")
     if where != "never created":
-        Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
-                        data_dir=data_dir).close()
+        db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                             data_dir=data_dir)
         assert os.listdir(data_dir) == ["wal.bin"]
+    if where == "first save cut before the snapshot":
+        db.execute("INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) "
+                   "VALUES (1, 'u', 0)")
+        replace = os.replace
+
+        def crash_at_snapshot(src, dst):
+            if dst.endswith("snapshot.bin"):
+                raise OSError("crash")
+            replace(src, dst)
+        monkeypatch.setattr(os, "replace", crash_at_snapshot)
+        with pytest.raises(OSError, match="crash"):
+            db.save(data_dir)
+        monkeypatch.undo()
+        assert not os.path.exists(os.path.join(data_dir, "snapshot.bin"))
+        assert os.path.exists(os.path.join(data_dir, PIPELINE_FILE))
+    if where != "never created":
+        db.close()
     with pytest.raises(MissingCheckpointError, match=str(tmp_path / "d")):
         Database.open(data_dir)
 

@@ -72,7 +72,7 @@ def test_mixed_keys_sort_like_tuples(tuples):
     assert by_bytes == sorted(tuples)
 
 
-# -- the compiled key encoder against encode_key, the reference ------------------
+# -- the per-shape key encoder against encode_key, the reference ----------------
 
 def compiled(values, types):
     return key_encoder(tuple(types))(values)
