@@ -7,11 +7,17 @@ builds the catalog (one lock table per rooted tree) and the store, WAL,
 transaction manager and query engine.  ``execute`` routes reads through
 the engine and writes through the transaction manager.
 
-``save`` writes ``schema.json``, ``pipeline.json`` (the planner's inputs:
-roots and baseline workload), ``snapshot.bin`` and ``wal.bin``, each under
-a temporary name renamed into place once all are written.  ``open`` plans
-again from those inputs, loads the snapshot and replays unfinished
-transactions.
+``save`` is a quiescent checkpoint: behind the transaction manager's gate
+(no write begins; every write begun has resolved or is held for recovery)
+it writes ``schema.json``, ``pipeline.json`` (the planner's inputs: roots
+and baseline workload), ``snapshot.bin`` and ``wal.bin``, each under a
+temporary name renamed into place once all are written, ``wal.bin`` last.
+The saved log is compacted: the begins still pending, in id order, then a
+commit of the highest id logged unless that id is pending.  Saved into the
+live log's directory, it replaces the live log, so an ``open`` reads only
+the writes since the last checkpoint.  ``open`` plans again from those
+inputs, loads the snapshot, replays the pending begins and resumes ids
+past the log's high water.
 """
 
 from __future__ import annotations
@@ -81,6 +87,17 @@ class VerifyReport:
         lines.append(f"locks held: {self.locks_held}")
         lines.append("verify: " + ("PASS" if self.ok else "FAIL"))
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class CheckpointReport:
+    """What one ``save`` did: the seconds its gate waited for writes in
+    flight, the ids of the pending begins its log kept, the live log's
+    bytes at the gate and the saved log's bytes."""
+    gate_wait_s: float
+    pending_kept: tuple[int, ...]
+    wal_bytes_before: int
+    wal_bytes_after: int
 
 
 class Database:
@@ -223,35 +240,52 @@ class Database:
 
     # -- persistence ------------------------------------------------------------------
 
-    def save(self, data_dir: str) -> None:
-        """Checkpoint into ``data_dir``: every file is written under a
-        temporary name first and renamed into place only once all are
-        written, so a failure leaves the previous checkpoint as it was."""
+    def save(self, data_dir: str) -> CheckpointReport:
+        """Checkpoint into ``data_dir`` behind the transaction manager's
+        gate: no write begins, and every write already begun has resolved
+        or is held for recovery, so the snapshot holds no half-applied
+        write the saved log does not replay.  The saved log is the live
+        one compacted to its pending begins and high-water id.  Every file
+        is written under a temporary name and renamed into place once all
+        are written, ``wal.bin`` last, so a failure leaves the previous
+        checkpoint as it was; a save cut before that last rename leaves the
+        old log, whose pending begins are the same.  A save into the live
+        log's own directory truncates the live log to the compacted one;
+        into another directory it leaves the live log whole, since the
+        checkpoint of its own directory still needs it."""
         os.makedirs(data_dir, exist_ok=True)
         pipeline = {"roots": [t.root for t in self.trees],
                     "workload": [render_statement(s) for s in self.workload]}
-        writers = {SCHEMA_FILE: lambda tmp: save_schema(self.schema, tmp),
-                   PIPELINE_FILE: lambda tmp: pathlib.Path(tmp).write_text(
-                       json.dumps(pipeline, indent=2) + "\n", encoding="utf-8"),
-                   SNAPSHOT_FILE: self.store.save_snapshot}
-        if os.path.abspath(self.wal.path) != os.path.abspath(
-                os.path.join(data_dir, WAL_FILE)):
-            writers[WAL_FILE] = lambda tmp: shutil.copyfile(self.wal.path, tmp)
-        paths = [os.path.join(data_dir, name) for name in writers]
-        try:
-            for path, write in zip(paths, writers.values()):
-                write(path + ".tmp")
-        except BaseException:
+        wal_path = os.path.join(data_dir, WAL_FILE)
+        live = os.path.abspath(self.wal.path) == os.path.abspath(wal_path)
+        with self.txn.quiesced() as waited:
+            log, kept = self.wal.compacted()
+            before = os.path.getsize(self.wal.path)
+            writers = {
+                SCHEMA_FILE: lambda tmp: save_schema(self.schema, tmp),
+                PIPELINE_FILE: lambda tmp: pathlib.Path(tmp).write_text(
+                    json.dumps(pipeline, indent=2) + "\n", encoding="utf-8"),
+                SNAPSHOT_FILE: self.store.save_snapshot,
+                WAL_FILE: lambda tmp: pathlib.Path(tmp).write_bytes(log)}
+            paths = [os.path.join(data_dir, name) for name in writers]
+            try:
+                for path, write in zip(paths, writers.values()):
+                    write(path + ".tmp")
+            except BaseException:
+                for path in paths:
+                    if os.path.exists(path + ".tmp"):
+                        os.remove(path + ".tmp")
+                raise
             for path in paths:
-                if os.path.exists(path + ".tmp"):
-                    os.remove(path + ".tmp")
-            raise
-        for path in paths:
+                if self.wal.fsync:
+                    _fsync(path + ".tmp")
+                if live and path == wal_path:
+                    self.wal.replace_with(path + ".tmp")
+                else:
+                    os.replace(path + ".tmp", path)
             if self.wal.fsync:
-                _fsync(path + ".tmp")
-            os.replace(path + ".tmp", path)
-        if self.wal.fsync:
-            _fsync(data_dir)
+                _fsync(data_dir)
+        return CheckpointReport(waited, kept, before, len(log))
 
     @classmethod
     def open(cls, data_dir: str, fsync: bool = False,

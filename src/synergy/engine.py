@@ -17,7 +17,9 @@ nothing.
 
 A ``QueryEngine`` plans each distinct statement once and keeps the plan
 for every later execution: the catalog is fixed when the engine is built,
-so a kept plan never goes stale.
+so a kept plan never goes stale.  A plan also holds the type of the
+attribute each placeholder binds, so an execution refuses a missing or
+ill-typed parameter with ``SchemaError`` before any scan.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .errors import (AmbiguityError, DirtyReadTimeout, UnknownAttributeError,
-                     UnknownTableError)
-from .schema import BASE, INDEX, StoreCatalog, TableHandle, VIEW
+from .errors import (AmbiguityError, DirtyReadTimeout, SchemaError,
+                     UnknownAttributeError, UnknownTableError)
+from .schema import (BASE, INDEX, StoreCatalog, TableHandle, VIEW,
+                     value_fits)
 from .sqlparse import COMPARE, AttrRef, Placeholder, SelectJoin
 from .storage import DIRTY, Store, prefix_range
 
@@ -104,6 +107,8 @@ def _show_pred(p: Predicate) -> str:
 class QueryPlan:
     steps: tuple[AccessStep, ...]
     projections: tuple[AttrRef, ...] | None    # qualified; None = all
+    #: (placeholder index, type of the attribute it binds), in index order
+    param_types: tuple[tuple[int, str], ...] = ()
 
     def describe(self) -> str:
         return "\n".join(s.describe() for s in self.steps)
@@ -135,10 +140,16 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
         return AttrRef(owners[0], ref.name)
 
     filters: dict[str, list[Predicate]] = {a: [] for a in handles}
+    param_types: dict[int, str] = {}
     for f in stmt.filters:
         ref = resolve(f.ref)
         if isinstance(f.value, Placeholder):
             expr = Param(f.value.index)
+            handle = handles[ref.qualifier]
+            relations = (catalog.view_defs[handle.name].relations
+                         if handle.kind == VIEW else (handle.name,))
+            param_types[f.value.index] = catalog.column_types(
+                (ref.name,), relations)[ref.name]
         else:
             expr = Const(f.value)
         filters[ref.qualifier].append(Predicate(ref.name, f.op, expr))
@@ -256,7 +267,8 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
             key_exprs=key_exprs, residual=tuple(residual),
             check_dirty=scan_kind in (VIEW, INDEX), probe=probe))
         placed.add(alias)
-    return QueryPlan(tuple(steps), projections)
+    return QueryPlan(tuple(steps), projections,
+                     tuple(sorted(param_types.items())))
 
 
 class _DirtyRow(Exception):
@@ -284,10 +296,7 @@ def execute_plan(plan: QueryPlan, params, store: Store,
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, Param):
-            try:
-                return params[expr.index]
-            except IndexError:
-                raise ValueError("missing query parameter") from None
+            return params[expr.index]
         return env[expr.alias][expr.attr]
 
     results: list[dict] = []
@@ -375,6 +384,15 @@ class QueryEngine:
         return self.execute_plan(self.plan(stmt), params)
 
     def execute_plan(self, plan: QueryPlan, params=()) -> list[dict]:
+        """Run the plan with re-scans on dirty; raises SchemaError, before
+        any scan, for a parameter missing or of a type its attribute
+        rejects."""
+        for index, vtype in plan.param_types:
+            if index >= len(params):
+                raise SchemaError(f"missing query parameter ?{index}")
+            if not value_fits(params[index], vtype):
+                raise SchemaError(f"query parameter ?{index} = "
+                                  f"{params[index]!r} does not fit {vtype}")
         backoff = 0.0002
         for attempt in range(self.max_rescans):
             try:

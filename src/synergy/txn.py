@@ -24,7 +24,16 @@ and the lock: a write pins its relation's full key and assigns no key or
 foreign-key attribute, and the write procedures check none of it again.
 
 The WAL records (txn id, phase, statement text) with a begin before the
-mutations and a commit after.  Recovery admits each logged statement by
+mutations and a commit after; it keeps the begins still pending and the
+highest id it has seen.  ``quiesced`` is the checkpoint gate: it holds the
+mutex every begin record is written under, so no write starts, and waits
+(with the lock manager's backoff) until every begin this manager issued
+and the log still holds pending belongs to a write held for recovery.  A
+write waiting on a held write's lock ends in ``LockTimeout`` and resolves,
+so the wait ends within the lock timeout of the writes in flight.  The
+checkpoint then keeps only ``WriteAheadLog.compacted``: the pending begins
+and a commit of the high-water id, from which an ``open`` resumes ids.
+Recovery admits each logged statement by
 the same rule, then re-executes every begin without a commit; a
 statement refused or failing there is reported aborted.  Either way it
 gets its commit record.  Replay is idempotent at any crash point because
@@ -38,8 +47,8 @@ an assigned attribute then tested the old value and holds.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import itertools
 import operator
 import os
 import struct
@@ -75,8 +84,17 @@ class WalRecord:
     statement: str
 
 
+def _record(txn_id: int, phase: int, statement: str) -> bytes:
+    payload = struct.pack(">QB", txn_id, phase) + encode_text(statement)
+    return struct.pack(">I", len(payload)) + payload
+
+
 class WriteAheadLog:
-    """Append-only log of length-prefixed {txn id, phase, statement} records."""
+    """Append-only log of length-prefixed {txn id, phase, statement} records.
+
+    Every append, by a write or by hand, also updates the begins still
+    pending (id -> statement) and the highest id seen; recovery raises the
+    high water to that of the log it reads."""
 
     MAGIC = b"SYWAL1\n"
 
@@ -84,6 +102,8 @@ class WriteAheadLog:
         self.path = path
         self.fsync = fsync
         self._lock = threading.Lock()
+        self._pending: dict[int, str] = {}
+        self.high_water = 0
         exists = os.path.exists(path) and os.path.getsize(path) > 0
         self._fh = open(path, "ab")
         if not exists:
@@ -91,13 +111,46 @@ class WriteAheadLog:
             self._fh.flush()
 
     def append(self, txn_id: int, phase: int, statement: str) -> None:
-        payload = struct.pack(">QB", txn_id, phase) + encode_text(statement)
-        record = struct.pack(">I", len(payload)) + payload
+        record = _record(txn_id, phase, statement)
         with self._lock:
             self._fh.write(record)
             self._fh.flush()
             if self.fsync:
                 os.fsync(self._fh.fileno())
+            if phase == PHASE_BEGIN:
+                self._pending[txn_id] = statement
+            else:
+                self._pending.pop(txn_id, None)
+            if txn_id > self.high_water:
+                self.high_water = txn_id
+
+    def pending_ids(self) -> list[int]:
+        with self._lock:
+            return list(self._pending)
+
+    def compacted(self) -> tuple[bytes, tuple[int, ...]]:
+        """The log a checkpoint keeps, and the ids of its begins: the
+        magic, every pending begin in id order, then a commit of the
+        high-water id unless that id is pending, so that ids resume past
+        it."""
+        with self._lock:
+            pending = dict(self._pending)
+            high = self.high_water
+        ids = tuple(sorted(pending))
+        parts = [self.MAGIC] + [_record(i, PHASE_BEGIN, pending[i])
+                                for i in ids]
+        if high and high not in pending:
+            parts.append(_record(high, PHASE_COMMIT, ""))
+        return b"".join(parts), ids
+
+    def replace_with(self, tmp_path) -> None:
+        """Rename ``tmp_path`` over this log and append to it from now on."""
+        with self._lock:
+            self._fh.close()
+            try:
+                os.replace(tmp_path, self.path)
+            finally:
+                self._fh = open(self.path, "ab")
 
     def close(self) -> None:
         self._fh.close()
@@ -151,6 +204,20 @@ def pending_transactions(records: list[WalRecord]) -> list[WalRecord]:
 
 # -- locks ---------------------------------------------------------------------
 
+def _backoff_until(ready: Callable[[], bool],
+                   deadline: float | None = None) -> bool:
+    """For a ``ready`` that did not hold: sleep with bounded exponential
+    backoff and call it again until it holds; False once the monotonic
+    ``deadline`` passes."""
+    backoff = 0.00005
+    while deadline is None or time.monotonic() < deadline:
+        time.sleep(backoff)
+        if ready():
+            return True
+        backoff = min(backoff * 2, 0.005)
+    return False
+
+
 class LockManager:
     """Root-key locks backed by per-root lock tables and check-and-put."""
 
@@ -167,18 +234,17 @@ class LockManager:
         """Spin with bounded exponential backoff until the CAS lands; an
         absent lock row counts as free and is created held."""
         table = self._table(root)
-        deadline = time.monotonic() + self.timeout
-        backoff = 0.00005
-        while True:
-            if self.store.check_and_put(table, key, LOCK_COLUMN, False, True):
-                return
-            if self.store.check_and_put(table, key, LOCK_COLUMN, ABSENT, True):
-                return
-            if time.monotonic() >= deadline:
-                raise LockTimeout(f"lock on {root} not acquired "
-                                  f"within {self.timeout}s")
-            time.sleep(backoff)
-            backoff = min(backoff * 2, 0.005)
+        if self._take(table, key) or _backoff_until(
+                functools.partial(self._take, table, key),
+                time.monotonic() + self.timeout):
+            return
+        raise LockTimeout(f"lock on {root} not acquired "
+                          f"within {self.timeout}s")
+
+    def _take(self, table: str, key: bytes) -> bool:
+        cas = self.store.check_and_put
+        return (cas(table, key, LOCK_COLUMN, False, True)
+                or cas(table, key, LOCK_COLUMN, ABSENT, True))
 
     def force_acquire(self, root: str, key: bytes) -> None:
         """Recovery path: take ownership regardless of the recorded state."""
@@ -234,8 +300,9 @@ class TransactionManager:
         self.views = views
         self.wal = wal
         self.locks = LockManager(store, catalog, lock_timeout)
-        self._ids = itertools.count(1)   # recover() continues a saved log
+        self._next_id = 1                # recover() continues a saved log
         self._begin_mutex = threading.Lock()
+        self._held: set[int] = set()     # ids of writes held for recovery
         self.crash_after_update_step: int | None = None
 
         self._chain: dict[str, tuple[str, tuple]] = {}
@@ -314,7 +381,8 @@ class TransactionManager:
         text = render_statement(stmt)
         # id assignment and the begin record must land in the same order
         with self._begin_mutex:
-            txn_id = next(self._ids)
+            txn_id = self._next_id
+            self._next_id += 1
             self.wal.append(txn_id, PHASE_BEGIN, text)
         try:
             result = self._run(stmt, txn_id)
@@ -322,8 +390,30 @@ class TransactionManager:
             # failed before any mutation: resolve it in the log
             self.wal.append(txn_id, PHASE_COMMIT, "")
             raise
+        except BaseException:
+            # left for recovery: the checkpoint gate stops waiting for it
+            self._held.add(txn_id)
+            raise
         self.wal.append(txn_id, PHASE_COMMIT, "")
         return result
+
+    @contextlib.contextmanager
+    def quiesced(self):
+        """The checkpoint gate: admit no begin record, wait until every
+        write this manager began has resolved or is held for recovery, and
+        yield the seconds waited.  A pending begin with an id this manager
+        never issued (one appended by hand) is no write in flight."""
+        with self._begin_mutex:
+            start = time.monotonic()
+            issued = self._next_id
+
+            def settled() -> bool:
+                return all(i >= issued or i in self._held
+                           for i in self.wal.pending_ids())
+
+            if not settled():
+                _backoff_until(settled)
+            yield time.monotonic() - start
 
     def _run(self, stmt, txn_id: int, replay: bool = False) -> TxnResult:
         """The one lock scope of every write (``replay``: recovery takes
@@ -515,7 +605,9 @@ class TransactionManager:
         statement, then release its lock; runs before serving traffic."""
         records = read_wal(self.wal.path)
         report = RecoveryReport()
-        self._ids = itertools.count(wal_high_water(records) + 1)
+        high = wal_high_water(records)
+        self.wal.high_water = max(self.wal.high_water, high)
+        self._next_id = high + 1
         for record in pending_transactions(records):
             stmt = parse_statement(record.statement)
             try:

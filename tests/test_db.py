@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -17,14 +19,14 @@ from synergy.db import PIPELINE_FILE, Database
 from synergy.errors import (LockTimeout, MissingCheckpointError, SchemaError,
                             SnapshotCorruptionError, UnknownTableError)
 from synergy.fixtures import (FIXTURES, build_fixture, company_schema,
-                              company_workload, populate, populate_company,
-                              populate_tpcw_micro, tpcw_micro_schema,
-                              tpcw_micro_workload)
+                              company_workload, mixed_statements, populate,
+                              populate_company, populate_tpcw_micro,
+                              tpcw_micro_schema, tpcw_micro_workload)
 from synergy.schema import LOCK, ForeignKey, IndexDef, RelationDef, SchemaDef
 from synergy.sqlparse import parse_statement, parse_workload, render_statement
 from synergy.storage import encode_key
-from synergy.txn import (CrashInjected, WriteAheadLog, read_wal,
-                         pending_transactions)
+from synergy.txn import (PHASE_COMMIT, CrashInjected, WalRecord,
+                         WriteAheadLog, pending_transactions, read_wal)
 
 
 def string_key_schema():
@@ -80,6 +82,8 @@ def test_lone_surrogate_survives_save_and_open(tmp_path):
     db = Database.create(tpcw_micro_schema(), tpcw_micro_workload())
     try:
         db.execute(db.workload[2], (1, "\ud800", 0))
+        # the saved log is compacted: the statement is in the live one
+        assert any("\ud800" in r.statement for r in read_wal(db.wal.path))
         db.save(str(tmp_path))
     finally:
         db.close()
@@ -87,8 +91,6 @@ def test_lone_surrogate_survives_save_and_open(tmp_path):
     try:
         assert reopened.execute("SELECT * FROM Customer") == [
             {"C_ID": 1, "C_UNAME": "\ud800", "C_BALANCE": 0}]
-        assert any("\ud800" in r.statement
-                   for r in read_wal(reopened.wal.path))
         assert reopened.verify().ok
     finally:
         reopened.close()
@@ -182,12 +184,17 @@ def test_crash_save_reopen_recovers_through_database_open(tmp_path):
     db.txn.crash_after_update_step = 4      # marks still set, lock held
     with pytest.raises(CrashInjected):
         db.execute("UPDATE Customer SET C_BALANCE = 42 WHERE C_ID = 1")
-    db.save(data_dir)                        # snapshot of the torn state
+    held = db.wal.high_water
+    # snapshot of the torn state; the gate does not wait for the held
+    # write, and the compacted log keeps only its begin record
+    checkpoint = db.save(data_dir)
     db.wal.close()
+    assert checkpoint.pending_kept == (held,)
+    assert checkpoint.wal_bytes_after < checkpoint.wal_bytes_before
 
     reopened = Database.open(data_dir)
     try:
-        assert len(reopened.recovery.replayed) == 1
+        assert [t for t, _ in reopened.recovery.replayed] == [held]
         report = reopened.verify()
         assert report.ok, report.describe()
         assert report.dirty_cells == 0
@@ -279,6 +286,87 @@ def test_an_int_outside_64_bits_is_refused_before_the_begin_record(
         assert [r["C_BALANCE"] for r in rows] == [-(2**63)]
         assert reopened.store.count("Customer") == 3
         report = reopened.verify()
+        assert report.ok, report.describe()
+    finally:
+        reopened.close()
+
+
+def test_each_save_into_the_live_directory_truncates_the_log(tmp_path):
+    data_dir = str(tmp_path / "d")
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=data_dir)
+    befores = []
+    try:
+        for round_ in range(3):
+            for c in range(1000 + 100 * round_, 1050 + 100 * round_):
+                db.execute(CUSTOMER_INSERT, (c, f"u{c}", 0))
+            report = db.save(data_dir)
+            befores.append(report.wal_bytes_before)
+            # only the header and the high-water commit are left
+            assert report.pending_kept == ()
+            assert report.wal_bytes_after == len(WriteAheadLog.MAGIC) + 13
+            assert read_wal(db.wal.path) == [
+                WalRecord(50 * (round_ + 1), PHASE_COMMIT, "")]
+        # every round reads only its own writes, after the header and,
+        # from the second on, the high-water commit
+        assert befores == [befores[0], befores[0] + 13, befores[0] + 13]
+    finally:
+        db.close()
+    reopened = Database.open(data_dir)
+    try:
+        assert reopened.recovery.replayed == []
+        assert reopened.store.count("Customer") == 150
+        assert reopened.execute(CUSTOMER_INSERT, (8, "u8", 0)).txn_id == 151
+        report = reopened.verify()
+        assert report.ok, report.describe()
+    finally:
+        reopened.close()
+
+
+def test_save_under_load_gives_a_consistent_checkpoint(tmp_path):
+    """Two writers run while ``save`` checkpoints: the gate lets no write
+    be half-applied in the snapshot, so the checkpoint opens exact with
+    nothing to replay."""
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload())
+    copy = str(tmp_path / "copy")
+    try:
+        populate_tpcw_micro(db, scale=30, ratio=5, seed=1)
+        streams = mixed_statements(30, 5, 4000, 2, seed=7)
+        failures = []
+
+        def worker(stream):
+            try:
+                for stmt in stream:
+                    db.txn.execute_write(stmt)
+            except Exception as exc:    # noqa: BLE001 - surfaced below
+                failures.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(s,))
+                   for s in streams]
+        # a short switch interval interleaves the writers finely with the
+        # table-by-table copy a save makes
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            time.sleep(0.3)
+            under_load = all(t.is_alive() for t in threads)
+            db.save(copy)
+        finally:
+            for t in threads:
+                t.join()
+            sys.setswitchinterval(switch)
+        assert failures == []
+        assert under_load
+    finally:
+        db.close()
+    reopened = Database.open(copy)
+    try:
+        assert reopened.recovery.replayed == []
+        assert reopened.recovery.aborted == []
+        report = reopened.verify()
+        assert report.locks_held == 0
         assert report.ok, report.describe()
     finally:
         reopened.close()

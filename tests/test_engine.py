@@ -8,7 +8,7 @@ import pytest
 from synergy import engine, oracle
 from synergy.db import Database
 from synergy.engine import PLAN_CACHE_SIZE, QueryEngine
-from synergy.errors import (AmbiguityError, DirtyReadTimeout,
+from synergy.errors import (AmbiguityError, DirtyReadTimeout, SchemaError,
                             UnknownAttributeError, UnknownTableError)
 from synergy.fixtures import (company_schema, company_workload,
                               populate_company, populate_tpcw_micro,
@@ -121,8 +121,31 @@ def test_lock_and_index_tables_are_not_queryable(company_db):
 
 
 def test_missing_parameter_raises(company_db):
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="missing query parameter"):
         company_db.execute(company_db.workload[0], ())
+
+
+def test_a_read_parameter_its_attribute_rejects_is_refused_before_any_scan(
+        monkeypatch):
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload())
+    try:
+        db.execute("INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) "
+                   "VALUES (1, 'u', 0)")
+        q1 = db.rewrite.statements[0]
+        scans, real_scan = [], db.store.scan
+        monkeypatch.setattr(db.store, "scan", lambda *args: (
+            scans.append(args) or real_scan(*args)))
+        for params, message in [(("x",), "does not fit int"),
+                                ((2**63,), "does not fit int"),
+                                ((), "missing query parameter")]:
+            with pytest.raises(SchemaError, match=message):
+                db.execute(q1, params)
+        assert scans == []
+        # a customer with no order has no view row; the read still scans
+        assert db.execute(q1, (1,)) == []
+        assert len(scans) == 1
+    finally:
+        db.close()
 
 
 def test_results_never_expose_the_dirty_mark(company_db):

@@ -1,3 +1,4 @@
+import os
 import threading
 import time
 
@@ -464,6 +465,19 @@ def test_txn_ids_resume_from_wal_high_water(db, tmp_path):
         result = reopened.execute(
             "INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) "
             "VALUES (99, 'z', 0)")
+        assert result.txn_id == high + 1
+    finally:
+        reopened.close()
+    # a save into the database's own directory truncates its log to the
+    # high-water commit: ids resume past it there too
+    own = os.path.dirname(db.wal.path)
+    db.save(own)
+    db.close()
+    reopened = Database.open(own)
+    try:
+        result = reopened.execute(
+            "INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) "
+            "VALUES (98, 'y', 0)")
         assert result.txn_id == high + 1
     finally:
         reopened.close()
