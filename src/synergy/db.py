@@ -8,16 +8,17 @@ transaction manager and query engine.  ``execute`` routes reads through
 the engine and writes through the transaction manager.
 
 ``save`` is a quiescent checkpoint: behind the transaction manager's gate
-(no write begins; every write begun has resolved or is held for recovery)
-it writes ``schema.json``, ``pipeline.json`` (the planner's inputs: roots
+(no write begins; it waits, with no poll, until no write is in flight) it
+writes ``schema.json``, ``pipeline.json`` (the planner's inputs: roots
 and baseline workload), ``snapshot.bin`` and ``wal.bin``, each under a
 temporary name renamed into place once all are written, ``wal.bin`` last.
 The saved log is compacted: the begins still pending, in id order, then a
 commit of the highest id logged unless that id is pending.  Saved into the
 live log's directory, it replaces the live log, so an ``open`` reads only
 the writes since the last checkpoint.  ``open`` plans again from those
-inputs, loads the snapshot, replays the pending begins and resumes ids
-past the log's high water.
+inputs, reads the log once (cutting a torn final record), loads the
+snapshot, replays the pending begins, and continues ids from the log's
+high water.
 """
 
 from __future__ import annotations
@@ -290,9 +291,9 @@ class Database:
     @classmethod
     def open(cls, data_dir: str, fsync: bool = False,
              lock_timeout: float = 10.0) -> "Database":
-        """Plan again from the saved schema, roots and workload, load the
-        snapshot, and replay unfinished transactions; recovery sets the
-        next transaction id.  A directory missing a checkpoint file (never
+        """Plan again from the saved schema, roots and workload, read the
+        log, load the snapshot, and replay unfinished transactions; ids
+        continue from the log's high water.  A directory missing a checkpoint file (never
         created, created and not yet saved, or its first save cut between
         two renames) raises MissingCheckpointError."""
         missing = [name for name in CHECKPOINT_FILES

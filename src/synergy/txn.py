@@ -24,18 +24,17 @@ and the lock: a write pins its relation's full key and assigns no key or
 foreign-key attribute, and the write procedures check none of it again.
 
 The WAL records (txn id, phase, statement text) with a begin before the
-mutations and a commit after; it keeps the begins still pending and the
-highest id it has seen.  ``quiesced`` is the checkpoint gate: it holds the
-mutex every begin record is written under, so no write starts, and waits
-(with the lock manager's backoff) until every begin this manager issued
-and the log still holds pending belongs to a write held for recovery.  A
-write waiting on a held write's lock ends in ``LockTimeout`` and resolves,
-so the wait ends within the lock timeout of the writes in flight.  The
-checkpoint then keeps only ``WriteAheadLog.compacted``: the pending begins
-and a commit of the high-water id, from which an ``open`` resumes ids.
-Recovery admits each logged statement by
-the same rule, then re-executes every begin without a commit; a
-statement refused or failing there is reported aborted.  Either way it
+mutations and a commit after.  It reads its file once, when opened,
+cutting a torn final record, then keeps the pending begins and the highest
+id seen; each write's id is one past that high water.  ``quiesced`` is the
+checkpoint gate: it holds the mutex every begin record is written under
+and waits, with no poll, until no write is in flight (each has resolved
+or is held for recovery).  A write waiting on a held write's lock ends in
+``LockTimeout``, so the wait ends within the lock timeout.  The checkpoint
+then keeps only ``WriteAheadLog.compacted``: the pending begins and a
+commit of the high-water id, from which an ``open`` resumes ids.
+Recovery admits each pending begin's statement by the same rule, then
+re-executes it; a statement refused or failing there is reported aborted.  Either way it
 gets its commit record.  Replay is idempotent at any crash point because
 of the write order: a row is written after its index rows, so until the
 row itself changes, a replay reads the old row and derives the old index
@@ -92,9 +91,9 @@ def _record(txn_id: int, phase: int, statement: str) -> bytes:
 class WriteAheadLog:
     """Append-only log of length-prefixed {txn id, phase, statement} records.
 
-    Every append, by a write or by hand, also updates the begins still
-    pending (id -> statement) and the highest id seen; recovery raises the
-    high water to that of the log it reads."""
+    The file is read once, here, for the begins still pending (id ->
+    statement) and the highest id seen, which every append then updates;
+    a torn final record is cut before anything is appended after it."""
 
     MAGIC = b"SYWAL1\n"
 
@@ -102,13 +101,18 @@ class WriteAheadLog:
         self.path = path
         self.fsync = fsync
         self._lock = threading.Lock()
-        self._pending: dict[int, str] = {}
-        self.high_water = 0
-        exists = os.path.exists(path) and os.path.getsize(path) > 0
+        records = read_wal(path)
+        self._pending = {r.txn_id: r.statement
+                         for r in pending_transactions(records)}
+        self.high_water = wal_high_water(records)
+        end = len(self.MAGIC) + sum(
+            len(_record(r.txn_id, r.phase, r.statement)) for r in records)
         self._fh = open(path, "ab")
-        if not exists:
+        if not self._fh.tell():
             self._fh.write(self.MAGIC)
-            self._fh.flush()
+        self._fh.truncate(end)           # flushes; cuts a torn final record
+        if fsync:
+            os.fsync(self._fh.fileno())
 
     def append(self, txn_id: int, phase: int, statement: str) -> None:
         record = _record(txn_id, phase, statement)
@@ -124,9 +128,10 @@ class WriteAheadLog:
             if txn_id > self.high_water:
                 self.high_water = txn_id
 
-    def pending_ids(self) -> list[int]:
+    def pending(self) -> list[tuple[int, str]]:
+        """The begins still pending, as (id, statement) in id order."""
         with self._lock:
-            return list(self._pending)
+            return sorted(self._pending.items())
 
     def compacted(self) -> tuple[bytes, tuple[int, ...]]:
         """The log a checkpoint keeps, and the ids of its begins: the
@@ -204,13 +209,12 @@ def pending_transactions(records: list[WalRecord]) -> list[WalRecord]:
 
 # -- locks ---------------------------------------------------------------------
 
-def _backoff_until(ready: Callable[[], bool],
-                   deadline: float | None = None) -> bool:
+def _backoff_until(ready: Callable[[], bool], deadline: float) -> bool:
     """For a ``ready`` that did not hold: sleep with bounded exponential
     backoff and call it again until it holds; False once the monotonic
     ``deadline`` passes."""
     backoff = 0.00005
-    while deadline is None or time.monotonic() < deadline:
+    while time.monotonic() < deadline:
         time.sleep(backoff)
         if ready():
             return True
@@ -300,9 +304,9 @@ class TransactionManager:
         self.views = views
         self.wal = wal
         self.locks = LockManager(store, catalog, lock_timeout)
-        self._next_id = 1                # recover() continues a saved log
         self._begin_mutex = threading.Lock()
-        self._held: set[int] = set()     # ids of writes held for recovery
+        self._settled = threading.Condition()   # guards _in_flight
+        self._in_flight = 0              # writes begun and not yet resolved
         self.crash_after_update_step: int | None = None
 
         self._chain: dict[str, tuple[str, tuple]] = {}
@@ -379,40 +383,35 @@ class TransactionManager:
         # refused statement leaves neither behind
         check_write(self.schema, stmt)
         text = render_statement(stmt)
-        # id assignment and the begin record must land in the same order
+        # taking the next id and writing its begin must land in one order
         with self._begin_mutex:
-            txn_id = self._next_id
-            self._next_id += 1
+            txn_id = self.wal.high_water + 1
             self.wal.append(txn_id, PHASE_BEGIN, text)
+            with self._settled:
+                self._in_flight += 1
         try:
             result = self._run(stmt, txn_id)
         except SynergyError:
             # failed before any mutation: resolve it in the log
             self.wal.append(txn_id, PHASE_COMMIT, "")
             raise
-        except BaseException:
-            # left for recovery: the checkpoint gate stops waiting for it
-            self._held.add(txn_id)
-            raise
-        self.wal.append(txn_id, PHASE_COMMIT, "")
+        else:
+            self.wal.append(txn_id, PHASE_COMMIT, "")
+        finally:
+            # resolved or held for recovery; the lock is _run's to keep
+            with self._settled:
+                self._in_flight -= 1
+                self._settled.notify_all()
         return result
 
     @contextlib.contextmanager
     def quiesced(self):
-        """The checkpoint gate: admit no begin record, wait until every
-        write this manager began has resolved or is held for recovery, and
-        yield the seconds waited.  A pending begin with an id this manager
-        never issued (one appended by hand) is no write in flight."""
+        """The checkpoint gate: admit no begin record, wait until no write
+        is in flight, and yield the seconds waited."""
         with self._begin_mutex:
             start = time.monotonic()
-            issued = self._next_id
-
-            def settled() -> bool:
-                return all(i >= issued or i in self._held
-                           for i in self.wal.pending_ids())
-
-            if not settled():
-                _backoff_until(settled)
+            with self._settled:
+                self._settled.wait_for(lambda: not self._in_flight)
             yield time.monotonic() - start
 
     def _run(self, stmt, txn_id: int, replay: bool = False) -> TxnResult:
@@ -601,23 +600,19 @@ class TransactionManager:
     # -- recovery ------------------------------------------------------------------
 
     def recover(self) -> RecoveryReport:
-        """Re-execute every begin-without-commit transaction from its logged
-        statement, then release its lock; runs before serving traffic."""
-        records = read_wal(self.wal.path)
+        """Re-execute every begin the log holds pending, in id order, from
+        its statement, then release its lock; runs before serving
+        traffic."""
         report = RecoveryReport()
-        high = wal_high_water(records)
-        self.wal.high_water = max(self.wal.high_water, high)
-        self._next_id = high + 1
-        for record in pending_transactions(records):
-            stmt = parse_statement(record.statement)
+        for txn_id, text in self.wal.pending():
+            stmt = parse_statement(text)
             try:
                 check_write(self.schema, stmt)
-                self._run(stmt, record.txn_id, replay=True)
-                report.replayed.append((record.txn_id, record.statement))
+                self._run(stmt, txn_id, replay=True)
+                report.replayed.append((txn_id, text))
             except SynergyError as exc:
-                report.aborted.append(
-                    (record.txn_id, record.statement, str(exc)))
-            self.wal.append(record.txn_id, PHASE_COMMIT, "")
+                report.aborted.append((txn_id, text, str(exc)))
+            self.wal.append(txn_id, PHASE_COMMIT, "")
         return report
 
 

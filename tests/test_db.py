@@ -25,8 +25,9 @@ from synergy.fixtures import (FIXTURES, build_fixture, company_schema,
 from synergy.schema import LOCK, ForeignKey, IndexDef, RelationDef, SchemaDef
 from synergy.sqlparse import parse_statement, parse_workload, render_statement
 from synergy.storage import encode_key
-from synergy.txn import (PHASE_COMMIT, CrashInjected, WalRecord,
-                         WriteAheadLog, pending_transactions, read_wal)
+from synergy.txn import (PHASE_BEGIN, PHASE_COMMIT, CrashInjected,
+                         WalRecord, WriteAheadLog, pending_transactions,
+                         read_wal)
 
 
 def string_key_schema():
@@ -372,6 +373,55 @@ def test_save_under_load_gives_a_consistent_checkpoint(tmp_path):
         reopened.close()
 
 
+def test_save_waits_for_a_write_queued_behind_a_held_lock(tmp_path):
+    """A write waiting on the root lock of a write held for recovery is in
+    flight: ``save`` waits for its ``LockTimeout``, then keeps only the held
+    write's begin, which the reopened checkpoint replays."""
+    data_dir = str(tmp_path / "d")
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=data_dir, lock_timeout=0.3)
+    db.execute(CUSTOMER_INSERT, (1, "u", 0))
+    db.txn.crash_after_update_step = 4      # the Customer 1 lock stays held
+    with pytest.raises(CrashInjected):
+        db.execute("UPDATE Customer SET C_BALANCE = 42 WHERE C_ID = 1")
+    held = db.wal.high_water
+    outcome = []
+
+    def waiter():
+        try:
+            db.execute("UPDATE Customer SET C_BALANCE = 7 WHERE C_ID = 1")
+        except LockTimeout as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=waiter)
+    thread.start()
+    try:
+        # the waiter writes its begin record before it waits for the lock
+        deadline = time.monotonic() + 5
+        while db.wal.high_water == held and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert db.wal.high_water == held + 1
+        checkpoint = db.save(data_dir)
+    finally:
+        thread.join()
+    db.close()
+    assert len(outcome) == 1
+    # had the gate not waited, the waiter's begin would be kept as well
+    assert checkpoint.pending_kept == (held,)
+    assert checkpoint.gate_wait_s > 0
+
+    reopened = Database.open(data_dir)
+    try:
+        assert [t for t, _ in reopened.recovery.replayed] == [held]
+        assert reopened.recovery.aborted == []
+        row = reopened.store.get("Customer", encode_key((1,), ("int",)))
+        assert row["C_BALANCE"] == 42
+        report = reopened.verify()
+        assert report.ok, report.describe()
+    finally:
+        reopened.close()
+
+
 def test_second_open_after_recovery_replays_nothing(tmp_path):
     data_dir = str(tmp_path / "d")
     db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
@@ -393,6 +443,48 @@ def test_second_open_after_recovery_replays_nothing(tmp_path):
     try:
         assert second.recovery.replayed == []
         assert second.verify().ok
+    finally:
+        second.close()
+
+
+BALANCE_UPDATES = [f"UPDATE Customer SET C_BALANCE = {b} WHERE C_ID = {c}"
+                   for b, c in ((11, 1), (12, 2), (13, 3))]
+
+
+def test_open_cuts_a_torn_log_tail_before_appending(tmp_path):
+    """A torn final record is cut when the log is opened: the writes
+    appended after it stay readable, so a second ``open`` parses the log
+    whole instead of reading the torn record's length across them."""
+    data_dir = str(tmp_path / "d")
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=data_dir)
+    populate_tpcw_micro(db, scale=5, ratio=2, seed=1)
+    db.save(data_dir)
+    db.close()
+    wal_path = os.path.join(data_dir, "wal.bin")
+    saved = read_wal(wal_path)
+    with open(wal_path, "ab") as fh:
+        fh.write(txn._record(999999, PHASE_BEGIN, "UPDATE Customer SET "
+                             "C_BALANCE = 5 WHERE C_ID = 1")[:-7])
+
+    first = Database.open(data_dir)
+    try:
+        assert first.recovery.replayed == []
+        ids = [first.execute(text).txn_id for text in BALANCE_UPDATES]
+    finally:
+        first.close()
+    second = Database.open(data_dir)
+    try:
+        assert second.recovery.replayed == []
+        assert second.recovery.aborted == []
+        logged = read_wal(wal_path)
+        assert logged[:len(saved)] == saved
+        assert logged[len(saved):] == [
+            WalRecord(i, phase, text if phase == PHASE_BEGIN else "")
+            for i, text in zip(ids, BALANCE_UPDATES)
+            for phase in (PHASE_BEGIN, PHASE_COMMIT)]
+        report = second.verify()
+        assert report.ok, report.describe()
     finally:
         second.close()
 

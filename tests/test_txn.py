@@ -540,6 +540,21 @@ def test_recover_resolves_failed_statement_as_aborted(db):
     assert pending_transactions(read_wal(db.wal.path)) == []
 
 
+def test_ids_continue_past_a_begin_appended_by_hand(db):
+    """Every id comes from the log's high water, so a write after the
+    recovery of a begin appended by hand takes the next id and the log
+    still parses whole."""
+    db.wal.append(500, PHASE_BEGIN,
+                  "DELETE FROM Order_line WHERE OL_ID = 31337")
+    manager_like(db).recover()
+    result = db.execute("INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) "
+                        "VALUES (1, 'u', 0)")
+    assert result.txn_id == 501
+    assert [(r.txn_id, r.phase) for r in read_wal(db.wal.path)] == [
+        (500, PHASE_BEGIN), (500, PHASE_COMMIT),
+        (501, PHASE_BEGIN), (501, PHASE_COMMIT)]
+
+
 def test_recovery_aborts_a_logged_statement_admission_refuses(db, tmp_path):
     seed_rows(db, customers=1, orders=1, lines=0)
     high = wal_high_water(read_wal(db.wal.path))
