@@ -275,6 +275,75 @@ AD_HOC = {
 }
 
 
+#: the plan of every SELECT in each fixture's workload and rewritten
+#: workload, and of AD_HOC, as ``describe()`` prints it
+PLAN_PINS = {
+    "company": {
+        "SELECT * FROM Employee AS e, Address AS a "
+        "WHERE a.AID = e.EHome_AID AND e.EID = ?":
+            "e: prefix scan Employee key=[?0]\n"
+            "a: prefix scan Address key=[e.EHome_AID]",
+        "SELECT * FROM Department AS d, Employee AS e, Works_On AS wo "
+        "WHERE d.DNo = e.E_DNo AND e.EID = wo.WO_EID AND d.DNo = ?":
+            "d: prefix scan Department key=[?0]\n"
+            "e: full scan Employee filter=[E_DNo = d.DNo]\n"
+            "wo: prefix scan Works_On key=[e.EID]",
+        "SELECT * FROM Employee AS e, Works_On AS wo "
+        "WHERE e.EID = wo.WO_EID AND wo.Hours = ?":
+            "e: full scan Employee\n"
+            "wo: prefix scan Works_On key=[e.EID] filter=[Hours = ?0]",
+        "SELECT * FROM V_Address_Employee AS v1 WHERE v1.EID = ?":
+            "v1: prefix scan V_Address_Employee key=[?0]",
+        "SELECT * FROM Department AS d, V_Employee_Works_On AS v1 "
+        "WHERE d.DNo = v1.E_DNo AND d.DNo = ?":
+            "d: prefix scan Department key=[?0]\n"
+            "v1: full scan V_Employee_Works_On filter=[E_DNo = d.DNo]",
+        "SELECT * FROM V_Employee_Works_On AS v1 WHERE v1.Hours = ?":
+            "v1: index scan X_V_Employee_Works_On_Hours key=[?0]",
+        "SELECT * FROM Address AS a, Employee AS e "
+        "WHERE a.AID = e.EOffice_AID":
+            "a: full scan Address\n"
+            "e: hash scan Employee on EOffice_AID = a.AID",
+        "SELECT * FROM Address AS a, Employee AS e "
+        "WHERE a.AID = e.EOffice_AID AND e.ESalary > 90000":
+            "a: full scan Address\n"
+            "e: hash scan Employee on EOffice_AID = a.AID "
+            "filter=[ESalary > 90000]",
+    },
+    "tpcw-micro": {
+        "SELECT * FROM Customer AS c, Order AS o "
+        "WHERE c.C_ID = o.O_C_ID AND c.C_ID = ?":
+            "c: prefix scan Customer key=[?0]\n"
+            "o: full scan Order filter=[O_C_ID = c.C_ID]",
+        "SELECT * FROM Customer AS c, Order AS o, Order_line AS ol "
+        "WHERE c.C_ID = o.O_C_ID AND o.O_ID = ol.OL_O_ID AND c.C_ID = ?":
+            "c: prefix scan Customer key=[?0]\n"
+            "o: full scan Order filter=[O_C_ID = c.C_ID]\n"
+            "ol: hash scan Order_line on OL_O_ID = o.O_ID",
+        "SELECT * FROM V_Customer_Order AS v1 WHERE v1.C_ID = ?":
+            "v1: index scan X_V_Customer_Order_C_ID key=[?0]",
+        "SELECT * FROM V_Customer_Order_Order_line AS v1 WHERE v1.C_ID = ?":
+            "v1: index scan X_V_Customer_Order_Order_line_C_ID key=[?0]",
+        "SELECT o.O_ID, ol.OL_ID FROM Order AS o, Order_line AS ol "
+        "WHERE o.O_ID = ol.OL_O_ID AND ol.OL_QTY >= 3":
+            "o: full scan Order\n"
+            "ol: hash scan Order_line on OL_O_ID = o.O_ID "
+            "filter=[OL_QTY >= 3]",
+    },
+}
+
+
+@pytest.mark.parametrize("fixture", ["company", "tpcw-micro"])
+def test_fixture_reads_keep_their_pinned_plans(fixture, company_db, tpcw_db):
+    db = company_db if fixture == "company" else tpcw_db
+    stmts = [s for s in db.workload + db.rewrite.statements
+             if isinstance(s, SelectJoin)]
+    stmts += [parse_statement(t) for t in AD_HOC[fixture]]
+    got = {render_statement(s): engine.plan_query(s, db.catalog).describe()
+           for s in stmts}
+    assert got == PLAN_PINS[fixture]
+
+
 @pytest.mark.parametrize("fixture", ["company", "tpcw-micro"])
 def test_hash_plan_equals_nested_loop_row_for_row(fixture, company_db,
                                                   tpcw_db):
