@@ -222,7 +222,8 @@ def cmd_bench_join(args) -> int:
 
 
 def bench_locks(counts: list[int], repeats: int = 10) -> list[dict]:
-    """Time acquire+release of N uncontended locks via check-and-put."""
+    """Median time of acquire+release of N uncontended locks via
+    check-and-put, over ``repeats`` timings."""
     rows = []
     for count in counts:
         store = Store()
@@ -239,16 +240,17 @@ def bench_locks(counts: list[int], repeats: int = 10) -> list[dict]:
                 store.check_and_put("LK_bench", key, LOCK_COLUMN, False, True)
                 store.check_and_put("LK_bench", key, LOCK_COLUMN, True, False)
             samples.append((time.perf_counter() - t0) * 1000.0)
-        mean, err = _mean_stderr(samples)
-        rows.append({"count": count, "mean_ms": f"{mean:.4f}",
-                     "stderr_ms": f"{err:.4f}"})
+        # the median: one scheduler pause inside a sub-millisecond repeat
+        # moves a mean several-fold
+        rows.append({"count": count,
+                     "median_ms": f"{statistics.median(samples):.4f}"})
     return rows
 
 
 def cmd_bench_locks(args) -> int:
     counts = [int(c) for c in args.counts.split(",")]
     rows = bench_locks(counts, args.repeats)
-    _write_csv(args.out, ("count", "mean_ms", "stderr_ms"), rows)
+    _write_csv(args.out, ("count", "median_ms"), rows)
     return 0
 
 

@@ -250,37 +250,43 @@ class Database:
         is written under a temporary name and renamed into place once all
         are written, ``wal.bin`` last, so a failure leaves the previous
         checkpoint as it was; a save cut before that last rename leaves the
-        old log, whose pending begins are the same.  A save into the live
-        log's own directory truncates the live log to the compacted one;
-        into another directory it leaves the live log whole, since the
-        checkpoint of its own directory still needs it."""
+        old log, whose pending begins are the same.  A save truncates the
+        live log to the compacted one when it saves into the log's own
+        directory, or when that directory lacks a checkpoint file, since
+        ``open`` refuses such a directory; a live log beside a checkpoint
+        of its own is kept whole, since that checkpoint still needs it."""
         os.makedirs(data_dir, exist_ok=True)
         pipeline = {"roots": [t.root for t in self.trees],
                     "workload": [render_statement(s) for s in self.workload]}
-        wal_path = os.path.join(data_dir, WAL_FILE)
-        live = os.path.abspath(self.wal.path) == os.path.abspath(wal_path)
+        live_log = os.path.abspath(self.wal.path)
+        live_dir = os.path.dirname(live_log)
         with self.txn.quiesced() as waited:
             log, kept = self.wal.compacted()
             before = os.path.getsize(self.wal.path)
+            write_log = lambda tmp: pathlib.Path(tmp).write_bytes(log)
             writers = {
                 SCHEMA_FILE: lambda tmp: save_schema(self.schema, tmp),
                 PIPELINE_FILE: lambda tmp: pathlib.Path(tmp).write_text(
                     json.dumps(pipeline, indent=2) + "\n", encoding="utf-8"),
                 SNAPSHOT_FILE: self.store.save_snapshot,
-                WAL_FILE: lambda tmp: pathlib.Path(tmp).write_bytes(log)}
-            paths = [os.path.join(data_dir, name) for name in writers]
+                WAL_FILE: write_log}
+            targets = {os.path.abspath(os.path.join(data_dir, name)): write
+                       for name, write in writers.items()}
+            if not all(os.path.exists(os.path.join(live_dir, name))
+                       for name in CHECKPOINT_FILES):
+                targets.setdefault(live_log, write_log)
             try:
-                for path, write in zip(paths, writers.values()):
+                for path, write in targets.items():
                     write(path + ".tmp")
             except BaseException:
-                for path in paths:
+                for path in targets:
                     if os.path.exists(path + ".tmp"):
                         os.remove(path + ".tmp")
                 raise
-            for path in paths:
+            for path in targets:
                 if self.wal.fsync:
                     _fsync(path + ".tmp")
-                if live and path == wal_path:
+                if path == live_log:
                     self.wal.replace_with(path + ".tmp")
                 else:
                     os.replace(path + ".tmp", path)

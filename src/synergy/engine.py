@@ -1,7 +1,10 @@
 """Read path: plan and execute SELECT statements over base tables or views.
 
-Plans are left-deep joins seeded by the table with the most selective
-bound filter.  Each access step scans either the table itself or one of
+Plans are left-deep joins built in one pass.  Each round places the
+alias joined to one already placed (any alias first), then the one whose
+equality filters and joins bind the longest key prefix, then the first
+in FROM order; a join becomes an equality predicate of the alias placed
+second.  Each access step scans either the table itself or one of
 its covered indexes, by key prefix when the bound attributes allow it,
 else a full scan.  A step with no bound prefix that joins by equality to
 an earlier step which can yield several rows is a hash step: the first
@@ -172,85 +175,54 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
                         f"and {alias}")
                 seen[col] = alias
 
-    def eq_bound(alias: str, placed: set[str]) -> dict[str, object]:
-        bound = {p.attr: p.expr for p in filters[alias] if p.op == "="}
+    def joins_to(alias: str, placed: set[str]):
+        """Each join from ``alias`` to a placed alias, as an equality on
+        ``alias``'s attribute; a join is met once, by its second alias."""
         for left, right in joins:
-            if left.qualifier == alias and right.qualifier in placed:
-                bound.setdefault(left.name,
-                                 OuterRef(right.qualifier, right.name))
-            elif right.qualifier == alias and left.qualifier in placed:
-                bound.setdefault(right.name,
-                                 OuterRef(left.qualifier, left.name))
-        return bound
+            for mine, other in ((left, right), (right, left)):
+                if mine.qualifier == alias and other.qualifier in placed:
+                    yield Predicate(mine.name, "=",
+                                    OuterRef(other.qualifier, other.name))
 
-    def best_access(alias: str, placed: set[str]):
-        """(prefix length, key exprs, physical table) for the longest
-        satisfiable key prefix; table itself wins ties over indexes."""
+    def best_access(alias: str, joined: list[Predicate]):
+        """(key exprs, physical table) for the longest key prefix the
+        equality filters, then the joins, bind; the table itself wins ties
+        over its indexes."""
         handle = handles[alias]
-        bound = eq_bound(alias, placed)
-        candidates = [(handle, 0)]
-        candidates += [(catalog.handle(idx.name), 1)
-                       for idx in catalog.indexes_of(handle.name)]
-        best = (0, (), handle.name, 0)
-        for cand, rank in candidates:
+        bound = {p.attr: p.expr for p in filters[alias] if p.op == "="}
+        for p in joined:
+            bound.setdefault(p.attr, p.expr)
+        best = ((), handle.name)
+        for cand in [handle] + [catalog.handle(idx.name)
+                                for idx in catalog.indexes_of(handle.name)]:
             exprs = []
             for attr in cand.key_attrs:
                 if attr not in bound:
                     break
                 exprs.append(bound[attr])
-            score = (len(exprs), -rank)
-            if exprs and score > (best[0], -best[3]):
-                best = (len(exprs), tuple(exprs), cand.name, rank)
+            if len(exprs) > len(best[0]):
+                best = (tuple(exprs), cand.name)
         return best
 
     aliases = [a for _, a in stmt.tables]
     placed: set[str] = set()
-    order: list[str] = []
-    while len(order) < len(aliases):
-        scored = []
-        for alias in aliases:
-            if alias in placed:
-                continue
-            connected = not placed or any(
-                (l.qualifier == alias and r.qualifier in placed) or
-                (r.qualifier == alias and l.qualifier in placed)
-                for l, r in joins)
-            prefix_len, _, _, _ = best_access(alias, placed)
-            scored.append((not connected, -prefix_len,
-                           aliases.index(alias), alias))
-        scored.sort()
-        order.append(scored[0][3])
-        placed.add(scored[0][3])
-
     steps: list[AccessStep] = []
-    placed = set()
-    consumed_joins: set[int] = set()
-    for alias in order:
-        handle = handles[alias]
-        prefix_len, key_exprs, scan_table, _ = best_access(alias, placed)
+    while len(steps) < len(aliases):
+        candidates = []
+        for pos, alias in enumerate(aliases):
+            if alias not in placed:
+                joined = list(joins_to(alias, placed))
+                key_exprs, scan_table = best_access(alias, joined)
+                candidates.append(
+                    ((bool(placed) and not joined, -len(key_exprs), pos),
+                     alias, joined, key_exprs, scan_table))
+        _, alias, joined, key_exprs, scan_table = min(candidates)
         # drop only the exact predicate the key prefix consumed; a second,
         # contradictory filter or join on the same attribute must keep
         # filtering
-        consumed_exprs = dict(zip(
-            catalog.handle(scan_table).key_attrs[:prefix_len], key_exprs))
-        residual = [p for p in filters[alias]
-                    if not (p.op == "=" and
-                            consumed_exprs.get(p.attr) == p.expr)]
-        for j, (left, right) in enumerate(joins):
-            if j in consumed_joins:
-                continue
-            mine = None
-            if left.qualifier == alias and right.qualifier in placed:
-                mine = Predicate(left.name, "=",
-                                 OuterRef(right.qualifier, right.name))
-            elif right.qualifier == alias and left.qualifier in placed:
-                mine = Predicate(right.name, "=",
-                                 OuterRef(left.qualifier, left.name))
-            if mine is None:
-                continue
-            consumed_joins.add(j)
-            if consumed_exprs.get(mine.attr) != mine.expr:
-                residual.append(mine)
+        consumed = dict(zip(catalog.handle(scan_table).key_attrs, key_exprs))
+        residual = [p for p in filters[alias] + joined
+                    if not (p.op == "=" and consumed.get(p.attr) == p.expr)]
         # hash an unbound step only when an earlier step can yield several
         # rows; a step visited once gains nothing from a build
         probe = None
@@ -261,11 +233,11 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
                           isinstance(p.expr, OuterRef)), None)
             if probe is not None:
                 residual.remove(probe)
-        scan_kind = catalog.handle(scan_table).kind
         steps.append(AccessStep(
-            alias=alias, table=handle.name, scan_table=scan_table,
+            alias=alias, table=handles[alias].name, scan_table=scan_table,
             key_exprs=key_exprs, residual=tuple(residual),
-            check_dirty=scan_kind in (VIEW, INDEX), probe=probe))
+            check_dirty=catalog.handle(scan_table).kind in (VIEW, INDEX),
+            probe=probe))
         placed.add(alias)
     return QueryPlan(tuple(steps), projections,
                      tuple(sorted(param_types.items())))

@@ -7,8 +7,9 @@ Supported statement shapes:
     UPDATE rel [AS a] SET attr = value [, ...] WHERE cond AND ...
     DELETE FROM rel WHERE cond AND ...
 
-Conditions are either equi-join conditions (``a.x = b.y``) or filters
-(``a.x <op> literal-or-?``) joined by AND.  Keywords are case-insensitive,
+Conditions are either equi-join conditions (``a.x = b.y``, each side
+qualified by its own alias) or filters (``a.x <op> literal-or-?``, where
+the alias may be left out) joined by AND.  Keywords are case-insensitive,
 identifiers are case-sensitive.  Literals are 64-bit signed integers and
 single-quoted strings ('' escapes a quote).  ``?`` placeholders bind
 positionally at execution time.
@@ -348,6 +349,9 @@ class _Parser:
         if lref and rref:
             if op != "=":
                 self.error("join conditions must use =", op_tok)
+            if left.qualifier is None or right.qualifier is None:
+                self.error("join condition must qualify both sides",
+                           left_tok)
             if left.qualifier == right.qualifier:
                 self.error("join condition must relate two distinct aliases",
                            left_tok)

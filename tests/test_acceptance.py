@@ -222,12 +222,12 @@ def test_criterion_5_microbenchmark_direction():
 def test_criterion_6_lock_overhead_trend():
     """Acquire+release time grows monotonically and near-linearly."""
     rows = bench_locks([10, 100, 1000], repeats=10)
-    means = {int(r["count"]): float(r["mean_ms"]) for r in rows}
-    assert means[10] < means[100] < means[1000]
-    ratio = means[1000] / means[100]
+    medians = {int(r["count"]): float(r["median_ms"]) for r in rows}
+    assert medians[10] < medians[100] < medians[1000]
+    ratio = medians[1000] / medians[100]
     assert 5.0 <= ratio <= 20.0, f"1000/100 ratio {ratio:.1f}"
-    print(f"\nCRITERION 6 PASS: lock overhead {means[10]:.3f} / "
-          f"{means[100]:.3f} / {means[1000]:.3f} ms, "
+    print(f"\nCRITERION 6 PASS: lock overhead {medians[10]:.3f} / "
+          f"{medians[100]:.3f} / {medians[1000]:.3f} ms, "
           f"1000:100 ratio {ratio:.1f}")
 
 

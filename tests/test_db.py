@@ -292,15 +292,22 @@ def test_an_int_outside_64_bits_is_refused_before_the_begin_record(
         reopened.close()
 
 
-def test_each_save_into_the_live_directory_truncates_the_log(tmp_path):
+@pytest.mark.parametrize("live_dir", [True, False],
+                         ids=["live-dir", "no-live-dir"])
+def test_each_save_into_the_live_directory_truncates_the_log(tmp_path,
+                                                             live_dir):
+    # without a live directory the log lives in a temporary one that never
+    # holds a checkpoint, and each round saves into a new directory
     data_dir = str(tmp_path / "d")
     db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
-                         data_dir=data_dir)
+                         data_dir=data_dir if live_dir else None)
     befores = []
     try:
         for round_ in range(3):
             for c in range(1000 + 100 * round_, 1050 + 100 * round_):
                 db.execute(CUSTOMER_INSERT, (c, f"u{c}", 0))
+            if not live_dir:
+                data_dir = str(tmp_path / f"d{round_}")
             report = db.save(data_dir)
             befores.append(report.wal_bytes_before)
             # only the header and the high-water commit are left

@@ -9,7 +9,8 @@ from synergy import engine, oracle
 from synergy.db import Database
 from synergy.engine import PLAN_CACHE_SIZE, QueryEngine
 from synergy.errors import (AmbiguityError, DirtyReadTimeout, SchemaError,
-                            UnknownAttributeError, UnknownTableError)
+                            SqlSyntaxError, UnknownAttributeError,
+                            UnknownTableError)
 from synergy.fixtures import (company_schema, company_workload,
                               populate_company, populate_tpcw_micro,
                               tpcw_micro_schema, tpcw_micro_workload)
@@ -92,6 +93,30 @@ def test_unqualified_refs_resolve_when_unambiguous(company_db):
         "SELECT EID FROM Employee as e, Address as a "
         "WHERE a.AID = e.EHome_AID AND EID = 4")
     assert rows == [{"EID": 4}]
+
+
+def test_a_join_with_an_unqualified_side_is_refused():
+    # C_BALANCE resolves to c, the alias on the other side: planned, that
+    # join related c to itself and was dropped, so customer 2 came back too
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload())
+    try:
+        for c_id, balance in ((1, 1), (2, 5)):
+            db.execute(f"INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) "
+                       f"VALUES ({c_id}, 'u', {balance})")
+            db.execute(f"INSERT INTO Order (O_ID, O_C_ID, O_STATUS, O_TOTAL)"
+                       f" VALUES ({c_id}, {c_id}, 's', 1)")
+        text = ("SELECT * FROM Customer AS c, Order AS o "
+                "WHERE c.C_ID = C_BALANCE AND c.C_ID = o.O_C_ID")
+        with pytest.raises(SqlSyntaxError):
+            db.execute(text)
+        with pytest.raises(SqlSyntaxError):
+            db.rewrite_statement(parse_statement(text))
+        rows = db.execute("SELECT c.C_ID, O_ID FROM Customer AS c, "
+                          "Order AS o WHERE c.C_ID = o.O_C_ID AND "
+                          "C_BALANCE = 1")
+        assert rows == [{"C_ID": 1, "O_ID": 1}]
+    finally:
+        db.close()
 
 
 def test_empty_table_returns_empty(company_db):

@@ -60,6 +60,19 @@ def test_same_alias_join_rejected():
         parse_statement("SELECT * FROM A as a WHERE a.x = a.y")
 
 
+def test_join_with_an_unqualified_side_rejected():
+    for text in ("SELECT * FROM A as a, B as b WHERE a.x = y",
+                 "SELECT * FROM A as a, B as b WHERE x = b.y",
+                 "SELECT * FROM A as a, B as b WHERE x = y"):
+        with pytest.raises(SqlSyntaxError):
+            parse_statement(text)
+    # unqualified filters and projections still parse
+    stmt = parse_statement("SELECT x FROM A as a, B as b "
+                           "WHERE a.x = b.y AND z = 1")
+    assert stmt.projections == (AttrRef(None, "x"),)
+    assert stmt.filters[0].ref == AttrRef(None, "z")
+
+
 def test_duplicate_alias_rejected():
     with pytest.raises(SqlSyntaxError):
         parse_statement("SELECT * FROM A as a, B as a WHERE a.x = 1")
