@@ -653,6 +653,95 @@ def test_open_assembles_the_catalog_that_create_built(tmp_path, fixture):
         reopened.close()
 
 
+def indexed_company():
+    """Company with a schema-level index on a base in a view, its key led
+    by a string, and an update that asks for a maintenance index."""
+    schema = company_schema()
+    schema.indexes = (IndexDef("X_Employee_EName", "Employee",
+                               ("EID", "EName"), ("EName",)),)
+    schema.validate()
+    return schema, company_workload() + [
+        parse_statement("UPDATE Employee SET ESalary = ? WHERE EID = ?")]
+
+
+CUSTOMER = ("C_ID", "C_UNAME", "C_BALANCE")
+ORDER = ("O_ID", "O_C_ID", "O_STATUS", "O_TOTAL")
+ORDER_LINE = ("OL_ID", "OL_O_ID", "OL_I_ID", "OL_QTY")
+ADDRESS = ("AID", "Astreet", "Acity")
+EMPLOYEE = ("EID", "EName", "ESalary", "EHome_AID", "EOffice_AID", "E_DNo")
+WORKS_ON = ("WO_EID", "WO_PNo", "Hours")
+I, S = "int", "string"
+
+TPCW_HANDLES = [
+    (("Customer", "base", ("C_ID",), (I,), CUSTOMER), []),
+    (("Order", "base", ("O_ID",), (I,), ORDER), []),
+    (("Order_line", "base", ("OL_ID",), (I,), ORDER_LINE), []),
+    (("Country", "base", ("CO_ID",), (I,), ("CO_ID", "CO_NAME")), []),
+    (("V_Customer_Order", "view", ("O_ID",), (I,), CUSTOMER + ORDER),
+     ["X_V_Customer_Order_C_ID"]),
+    (("V_Customer_Order_Order_line", "view", ("OL_ID",), (I,),
+      CUSTOMER + ORDER + ORDER_LINE),
+     ["X_V_Customer_Order_Order_line_C_ID",
+      "M_V_Customer_Order_Order_line_O_ID"]),
+    (("X_V_Customer_Order_C_ID", "index", ("C_ID", "O_ID"), (I, I),
+      CUSTOMER + ORDER), []),
+    (("X_V_Customer_Order_Order_line_C_ID", "index", ("C_ID", "OL_ID"),
+      (I, I), CUSTOMER + ORDER + ORDER_LINE), []),
+    (("M_V_Customer_Order_Order_line_O_ID", "index", ("O_ID", "OL_ID"),
+      (I, I), CUSTOMER + ORDER + ORDER_LINE), []),
+    (("LK_Customer", "lock", ("C_ID",), (I,), ("lock_status",)), []),
+]
+
+COMPANY_BASES = [
+    (("Address", "base", ("AID",), (I,), ADDRESS), []),
+    (("Department", "base", ("DNo",), (I,), ("DNo", "DName")), []),
+    (("Employee", "base", ("EID",), (I,), EMPLOYEE), []),
+    (("Works_On", "base", ("WO_EID", "WO_PNo"), (I, I), WORKS_ON), []),
+]
+COMPANY_VIEWS = [
+    (("V_Address_Employee", "view", ("EID",), (I,), ADDRESS + EMPLOYEE), []),
+    (("V_Employee_Works_On", "view", ("WO_EID", "WO_PNo"), (I, I),
+      EMPLOYEE + WORKS_ON), ["X_V_Employee_Works_On_Hours"]),
+    (("X_V_Employee_Works_On_Hours", "index", ("Hours", "WO_EID", "WO_PNo"),
+      (I, I, I), EMPLOYEE + WORKS_ON), []),
+]
+COMPANY_LOCKS = [
+    (("LK_Address", "lock", ("AID",), (I,), ("lock_status",)), []),
+    (("LK_Department", "lock", ("DNo",), (I,), ("lock_status",)), []),
+]
+
+INDEXED_COMPANY_HANDLES = [
+    COMPANY_BASES[0], COMPANY_BASES[1],
+    (COMPANY_BASES[2][0], ["X_Employee_EName"]),
+    COMPANY_BASES[3],
+    (("X_Employee_EName", "index", ("EName", "EID"), (S, I), ("EID", "EName")),
+     []),
+    COMPANY_VIEWS[0],
+    (COMPANY_VIEWS[1][0], ["X_V_Employee_Works_On_Hours",
+                           "M_V_Employee_Works_On_EID"]),
+    COMPANY_VIEWS[2],
+    (("M_V_Employee_Works_On_EID", "index", ("EID", "WO_EID", "WO_PNo"),
+      (I, I, I), EMPLOYEE + WORKS_ON), []),
+] + COMPANY_LOCKS
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: build_fixture("tpcw-micro"), TPCW_HANDLES),
+    (lambda: build_fixture("company"),
+     COMPANY_BASES + COMPANY_VIEWS + COMPANY_LOCKS),
+    (indexed_company, INDEXED_COMPANY_HANDLES),
+], ids=["tpcw-micro", "company", "schema-index"])
+def test_every_handle_is_pinned_in_creation_order(build, expected):
+    db = Database.create(*build())
+    try:
+        got = [((h.name, h.kind, h.key_attrs, h.key_types, h.columns),
+                [i.name for i in db.catalog.indexes_of(h.name)])
+               for h in db.catalog.all_handles()]
+        assert got == expected
+    finally:
+        db.close()
+
+
 # -- one plan source: open plans again from the saved inputs -------------------
 
 @pytest.mark.parametrize("fixture", FIXTURES)
