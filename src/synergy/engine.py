@@ -35,7 +35,7 @@ from .errors import (AmbiguityError, DirtyReadTimeout, SchemaError,
                      UnknownAttributeError, UnknownTableError)
 from .schema import (BASE, INDEX, StoreCatalog, TableHandle, VIEW,
                      value_fits)
-from .sqlparse import COMPARE, AttrRef, Placeholder, SelectJoin
+from .sqlparse import COMPARE, AttrRef, Placeholder, SelectJoin, check_joins
 from .storage import DIRTY, Store, prefix_range
 
 #: most plans one engine keeps; a full cache is cleared, so a stream of
@@ -119,6 +119,7 @@ class QueryPlan:
 
 def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
     """Build the left-deep plan; raises for unknown tables or attributes."""
+    check_joins(stmt)
     handles: dict[str, TableHandle] = {}
     for rel_name, alias in stmt.tables:
         handle = catalog.handle(rel_name)
@@ -148,11 +149,8 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
         ref = resolve(f.ref)
         if isinstance(f.value, Placeholder):
             expr = Param(f.value.index)
-            handle = handles[ref.qualifier]
-            relations = (catalog.view_defs[handle.name].relations
-                         if handle.kind == VIEW else (handle.name,))
-            param_types[f.value.index] = catalog.column_types(
-                (ref.name,), relations)[ref.name]
+            param_types[f.value.index] = catalog.types[
+                handles[ref.qualifier].name][ref.name]
         else:
             expr = Const(f.value)
         filters[ref.qualifier].append(Predicate(ref.name, f.op, expr))
@@ -193,8 +191,7 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
         for p in joined:
             bound.setdefault(p.attr, p.expr)
         best = ((), handle.name)
-        for cand in [handle] + [catalog.handle(idx.name)
-                                for idx in catalog.indexes_of(handle.name)]:
+        for cand in [handle] + catalog.indexes_of(handle.name):
             exprs = []
             for attr in cand.key_attrs:
                 if attr not in bound:
@@ -330,11 +327,10 @@ class QueryEngine:
     """Executor holding a plan cache keyed by statement; reads proceed
     without locks and re-scan on dirty."""
 
-    def __init__(self, store: Store, catalog: StoreCatalog,
-                 max_rescans: int = 100):
+    def __init__(self, store: Store, catalog: StoreCatalog):
         self.store = store
         self.catalog = catalog
-        self.max_rescans = max_rescans
+        self.max_rescans = 100
         self._plans: dict[SelectJoin, QueryPlan] = {}
         self._plans_lock = threading.Lock()
 

@@ -42,6 +42,10 @@ class OrphanError(SynergyError):
     """An ancestor row required to locate the root key is absent."""
 
 
+class DuplicateKeyError(SynergyError):
+    """An insert names a key its relation already holds."""
+
+
 class UnsupportedUpdate(SynergyError):
     """Update assignments touch primary-key or foreign-key attributes."""
 

@@ -88,11 +88,11 @@ def plan_update_rows(view: ViewDef, update: Update, reader,
             located.append((vkey, row))
     else:
         lookup = next(
-            (idx for idx in catalog.indexes_of(view.name)
-             if idx.indexed_on == rel.primary_key), None)
+            (ih for ih in catalog.indexes_of(view.name)
+             if catalog.index_defs[ih.name].indexed_on == rel.primary_key),
+            None)
         if lookup is not None:
-            ih = catalog.handle(lookup.name)
-            start, end = prefix_range(key_vals, ih)
+            start, end = prefix_range(key_vals, lookup)
             for _, icells in reader.scan(lookup.name, start, end):
                 vkey = key_of(view_handle, icells)
                 row = reader.get(view.name, vkey)

@@ -3,10 +3,14 @@
 A schema models relations with primary keys and foreign keys, plus covered
 indexes.  The schema graph has one directed edge per foreign key, running
 from the referenced relation to the referencing relation and labeled with
-the (primary key, foreign key) attribute tuples.  ``baseline_transform``
-maps a relational schema and workload onto the key-value store: one table
-per relation keyed by its encoded primary key, one table per index keyed
-by the index attributes followed by the base primary key.
+the (primary key, foreign key) attribute tuples.  ``build_catalog`` maps
+the schema, the selected views and their indexes onto the key-value store:
+one table per relation keyed by its primary key, one per view keyed by its
+last relation's key, one per index keyed by the indexed attributes followed
+by the base table's key, and one lock table per root.  ``StoreCatalog.add``
+builds every handle, typing its key and columns from the relations behind
+the table.  ``baseline_transform`` admits the runnable workload.  The
+attribute name ``DIRTY`` is the store's mark and reserved.
 
 ``check_write`` is the one rule for whether a write can run; the baseline
 transform, the transaction manager and recovery all call it, and nothing
@@ -28,6 +32,9 @@ from .sqlparse import (INT64_MAX, INT64_MIN, Insert, Placeholder, SelectJoin,
 INT = "int"
 STRING = "string"
 _TYPES = (INT, STRING)
+
+#: the cell marking a view or index row mid-update; no attribute takes it
+DIRTY = "_dirty"
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,9 @@ class SchemaDef:
             names = rel.attr_names
             if len(set(names)) != len(names):
                 raise SchemaError(f"relation {rel.name}: duplicate attribute")
+            if DIRTY in names:
+                raise SchemaError(
+                    f"relation {rel.name}: attribute {DIRTY!r} is reserved")
             for _, t in rel.attributes:
                 if t not in _TYPES:
                     raise SchemaError(f"relation {rel.name}: bad type {t!r}")
@@ -222,20 +232,15 @@ class TableHandle:
 
 
 class StoreCatalog:
-    """Registry of every key-value table: bases, views, indexes, locks."""
+    """Registry of every key-value table: bases, views, indexes, locks.
+    ``types`` maps each table to the types of its columns."""
 
     def __init__(self, schema: SchemaDef):
         self.schema = schema
         self.tables: dict[str, TableHandle] = {}
+        self.types: dict[str, dict[str, str]] = {}
         self.index_defs: dict[str, IndexDef] = {}
-        self.view_defs: dict[str, object] = {}   # name -> ViewDef
-        self._indexes_of: dict[str, list[str]] = {}
-
-    def _add(self, handle: TableHandle) -> TableHandle:
-        if handle.name in self.tables:
-            raise SchemaError(f"duplicate table name {handle.name!r}")
-        self.tables[handle.name] = handle
-        return handle
+        self._indexes_of: dict[str, list[TableHandle]] = {}
 
     def handle(self, name: str) -> TableHandle:
         try:
@@ -243,67 +248,31 @@ class StoreCatalog:
         except KeyError:
             raise UnknownTableError(f"unknown table {name!r}") from None
 
-    def add_base(self, rel: RelationDef) -> TableHandle:
-        types = rel.attr_types
-        return self._add(TableHandle(
-            name=rel.name, kind=BASE,
-            key_attrs=rel.primary_key,
-            key_types=tuple(types[a] for a in rel.primary_key),
-            columns=rel.attr_names))
-
-    def add_view(self, view) -> TableHandle:
-        """Register a materialized view (``view`` is a viewselect.ViewDef)."""
-        types = self.column_types(view.attributes, view.relations)
-        handle = self._add(TableHandle(
-            name=view.name, kind=VIEW,
-            key_attrs=view.key,
-            key_types=tuple(types[a] for a in view.key),
-            columns=view.attributes))
-        self.view_defs[view.name] = view
+    def add(self, name: str, kind: str, key_attrs: tuple[str, ...],
+            columns: tuple[str, ...], types: dict[str, str]) -> TableHandle:
+        """Register a table, typed from ``types``, the attribute types of
+        the relations behind it."""
+        if name in self.tables:
+            raise SchemaError(f"duplicate table name {name!r}")
+        self.types[name] = {a: types[a] for a in columns if a in types}
+        handle = self.tables[name] = TableHandle(
+            name, kind, key_attrs, tuple(types[a] for a in key_attrs),
+            columns)
         return handle
 
     def add_index(self, idx: IndexDef) -> TableHandle:
         base = self.handle(idx.base)
-        types = dict(zip(base.key_attrs, base.key_types))
-        types.update(self.column_types(
-            idx.attributes,
-            self.view_defs[idx.base].relations if base.kind == VIEW
-            else (idx.base,)))
         key_attrs = idx.indexed_on + tuple(
             a for a in base.key_attrs if a not in idx.indexed_on)
-        handle = self._add(TableHandle(
-            name=idx.name, kind=INDEX,
-            key_attrs=key_attrs,
-            key_types=tuple(types[a] for a in key_attrs),
-            columns=tuple(dict.fromkeys(idx.attributes + key_attrs))))
+        handle = self.add(idx.name, INDEX, key_attrs,
+                          tuple(dict.fromkeys(idx.attributes + key_attrs)),
+                          self.types[idx.base])
         self.index_defs[idx.name] = idx
-        self._indexes_of.setdefault(idx.base, []).append(idx.name)
+        self._indexes_of.setdefault(idx.base, []).append(handle)
         return handle
 
-    def add_lock_table(self, root: str) -> TableHandle:
-        rel = self.schema.relation(root)
-        types = rel.attr_types
-        return self._add(TableHandle(
-            name=LOCK_TABLE_PREFIX + root, kind=LOCK,
-            key_attrs=rel.primary_key,
-            key_types=tuple(types[a] for a in rel.primary_key),
-            columns=(LOCK_COLUMN,)))
-
-    def indexes_of(self, base: str) -> list[IndexDef]:
-        return [self.index_defs[n] for n in self._indexes_of.get(base, [])]
-
-    def column_types(self, attrs, relations) -> dict[str, str]:
-        """Resolve attribute types from the given base relations."""
-        types: dict[str, str] = {}
-        for rel_name in relations:
-            types.update(self.schema.relation(rel_name).attr_types)
-        missing = [a for a in attrs if a not in types]
-        if missing:
-            raise SchemaError(f"cannot type attributes {missing}")
-        return types
-
-    def lock_table_for(self, root: str) -> str:
-        return LOCK_TABLE_PREFIX + root
+    def indexes_of(self, base: str) -> list[TableHandle]:
+        return list(self._indexes_of.get(base, ()))
 
     def all_handles(self) -> list[TableHandle]:
         return list(self.tables.values())
@@ -316,21 +285,25 @@ def build_catalog(schema: SchemaDef, views=(), indexes=(),
     ``indexes`` over bases or views, and one lock table per root."""
     catalog = StoreCatalog(schema)
     for rel in schema.relations.values():
-        catalog.add_base(rel)
+        catalog.add(rel.name, BASE, rel.primary_key, rel.attr_names,
+                    rel.attr_types)
     for idx in schema.indexes:
         catalog.add_index(idx)
     for view in views:
-        catalog.add_view(view)
+        catalog.add(view.name, VIEW, view.key, view.attributes,
+                    {a: t for r in view.relations
+                     for a, t in schema.relation(r).attributes})
     for idx in indexes:
         catalog.add_index(idx)
     for root in roots:
-        catalog.add_lock_table(root)
+        rel = schema.relation(root)
+        catalog.add(LOCK_TABLE_PREFIX + root, LOCK, rel.primary_key,
+                    (LOCK_COLUMN,), rel.attr_types)
     return catalog
 
 
 @dataclass
 class BaselineResult:
-    catalog: StoreCatalog
     statements: list[Statement]
     rejected: list[tuple[Statement, str]] = field(default_factory=list)
 
@@ -388,7 +361,6 @@ def baseline_transform(schema: SchemaDef, workload: list[Statement]) -> Baseline
     it; the others land in ``rejected`` with the reason it gives.
     """
     schema.validate()
-    catalog = build_catalog(schema)
     kept: list[Statement] = []
     rejected: list[tuple[Statement, str]] = []
     for stmt in workload:
@@ -403,7 +375,7 @@ def baseline_transform(schema: SchemaDef, workload: list[Statement]) -> Baseline
             rejected.append((stmt, str(exc)))
         else:
             kept.append(stmt)
-    return BaselineResult(catalog, kept, rejected)
+    return BaselineResult(kept, rejected)
 
 
 # -- JSON schema files -------------------------------------------------------

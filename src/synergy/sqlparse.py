@@ -256,6 +256,7 @@ class _Parser:
         joins, filters = self.where_clause(optional=True)
         stmt = SelectJoin(tuple(tables), projections, joins, filters)
         self._check_refs(stmt, set(aliases))
+        check_joins(stmt)
         return stmt
 
     def insert(self) -> Insert:
@@ -349,12 +350,6 @@ class _Parser:
         if lref and rref:
             if op != "=":
                 self.error("join conditions must use =", op_tok)
-            if left.qualifier is None or right.qualifier is None:
-                self.error("join condition must qualify both sides",
-                           left_tok)
-            if left.qualifier == right.qualifier:
-                self.error("join condition must relate two distinct aliases",
-                           left_tok)
             joins.append(JoinCondition(left, right))
         elif lref:
             filters.append(Filter(left, op, right))
@@ -415,6 +410,17 @@ def statement_refs(stmt: Statement):
     elif isinstance(stmt, (Update, Delete)):
         refs.extend(f.ref for f in stmt.filters)
     return refs
+
+
+def check_joins(stmt: SelectJoin) -> None:
+    """Refuse a join whose sides two distinct aliases do not qualify: the
+    parser's check, and the planner's and rewriter's for a statement built
+    in code."""
+    for j in stmt.joins:
+        if (j.left.qualifier is None or j.right.qualifier is None
+                or j.left.qualifier == j.right.qualifier):
+            raise SqlSyntaxError("join condition must relate two distinct "
+                                 "qualified aliases", 1, 1)
 
 
 def parse_statement(text: str) -> Statement:

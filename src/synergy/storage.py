@@ -48,11 +48,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from sortedcontainers import SortedDict
 
 from .errors import SchemaError, SnapshotCorruptionError, UnknownTableError
-from .schema import INT, STRING, TableHandle, value_fits
+from .schema import DIRTY, INT, STRING, TableHandle, value_fits
 
 DELIM = b"\x1f"
 ESCAPE = b"\x1b"
-DIRTY = "_dirty"
 
 _INT_OFFSET = 2 ** 63
 
@@ -218,9 +217,6 @@ class Store:
         if handle.name in self._tables:
             raise SchemaError(f"table {handle.name!r} already exists")
         self._tables[handle.name] = _Table()
-
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
 
     def _table(self, name: str) -> _Table:
         try:

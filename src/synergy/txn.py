@@ -14,10 +14,11 @@ Every write changes rows by one move rule: a row of a base table or view
 going from an old row to a new one (or from or to no row) writes each of
 its index rows, keyed and projected from the row, and then the row itself;
 an index row whose key changed or went has its old key deleted.  Inserts
-move the base row, then each applicable view row; deletes move the view
-rows first and the base row last.  Updates run the six-step procedure:
-lock, read, mark, update, un-mark, release; readers seeing a marked row
-re-scan.
+take a new key (a row already there raises ``DuplicateKeyError`` before
+any write) and move the base row, then each applicable view row; deletes
+move the view rows first and the base row last.  Updates run the six-step
+procedure: lock, read, mark, update, un-mark, release; readers seeing a
+marked row re-scan.
 
 Admission is ``schema.check_write`` alone, run before the begin record
 and the lock: a write pins its relation's full key and assigns no key or
@@ -34,14 +35,16 @@ or is held for recovery).  A write waiting on a held write's lock ends in
 then keeps only ``WriteAheadLog.compacted``: the pending begins and a
 commit of the high-water id, from which an ``open`` resumes ids.
 Recovery admits each pending begin's statement by the same rule, then
-re-executes it; a statement refused or failing there is reported aborted.  Either way it
-gets its commit record.  Replay is idempotent at any crash point because
-of the write order: a row is written after its index rows, so until the
-row itself changes, a replay reads the old row and derives the old index
-keys from it again; a delete keeps the base row until its view rows are
-gone, so a replay still finds it.  An update's replay finds its base row
-already written once that row carries every value it assigns; a filter on
-an assigned attribute then tested the old value and holds.
+re-executes it; a statement refused or failing there is reported aborted.
+Either way it gets its commit record.  Replay is idempotent at any crash
+point because of the write order: a row is written after its index rows,
+so until the row itself changes, a replay reads the old row and derives
+the old index keys from it again; a delete keeps the base row until its
+view rows are gone, so a replay still finds it.  An insert's replay
+accepts a row at its key that holds the insert's own values.  An update's
+replay finds its base row already written once that row carries every
+value it assigns; a filter on an assigned attribute then tested the old
+value and holds.
 """
 
 from __future__ import annotations
@@ -56,11 +59,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import LockTimeout, OrphanError, SynergyError, WalCorruptionError
+from .errors import (DuplicateKeyError, LockTimeout, OrphanError,
+                     SynergyError, WalCorruptionError)
 from .maintenance import (build_insert_view_tuple, key_values_from_filters,
                           parent_key, plan_update_rows)
-from .schema import (BASE, INDEX, LOCK_COLUMN, VIEW, StoreCatalog,
-                     TableHandle, check_write)
+from .schema import (BASE, INDEX, LOCK_COLUMN, LOCK_TABLE_PREFIX, VIEW,
+                     StoreCatalog, TableHandle, check_write)
 from .sqlparse import (COMPARE, Delete, Insert, Update, WriteStatement,
                        count_placeholders, parse_statement, render_statement)
 from .storage import (ABSENT, DIRTY, Store, decode_text, encode_text,
@@ -225,14 +229,12 @@ def _backoff_until(ready: Callable[[], bool], deadline: float) -> bool:
 class LockManager:
     """Root-key locks backed by per-root lock tables and check-and-put."""
 
-    def __init__(self, store: Store, catalog: StoreCatalog,
-                 timeout: float = 10.0):
+    def __init__(self, store: Store, timeout: float = 10.0):
         self.store = store
-        self.catalog = catalog
         self.timeout = timeout
 
     def _table(self, root: str) -> str:
-        return self.catalog.lock_table_for(root)
+        return LOCK_TABLE_PREFIX + root
 
     def acquire(self, root: str, key: bytes) -> None:
         """Spin with bounded exponential backoff until the CAS lands; an
@@ -303,7 +305,7 @@ class TransactionManager:
         self.schema = catalog.schema
         self.views = views
         self.wal = wal
-        self.locks = LockManager(store, catalog, lock_timeout)
+        self.locks = LockManager(store, lock_timeout)
         self._begin_mutex = threading.Lock()
         self._settled = threading.Condition()   # guards _in_flight
         self._in_flight = 0              # writes begun and not yet resolved
@@ -327,11 +329,9 @@ class TransactionManager:
         self._count_field: dict[str, str] = {}
         counted = {BASE: "base_rows", VIEW: "view_rows", INDEX: "index_rows"}
         for handle in catalog.all_handles():
-            index_handles = [catalog.handle(idx.name)
-                             for idx in catalog.indexes_of(handle.name)]
             self._index_handles[handle.name] = [
                 (ih, operator.itemgetter(*ih.key_attrs))
-                for ih in index_handles]
+                for ih in catalog.indexes_of(handle.name)]
             self._count_field[handle.name] = counted.get(handle.kind)
 
     # -- root resolution ---------------------------------------------------
@@ -416,15 +416,14 @@ class TransactionManager:
 
     def _run(self, stmt, txn_id: int, replay: bool = False) -> TxnResult:
         """The one lock scope of every write (``replay``: recovery takes
-        the lock whatever its state, and an update accepts the base row its
-        crashed pass wrote)."""
+        the lock whatever its state, and an insert or update accepts the
+        base row its crashed pass wrote)."""
         if isinstance(stmt, Insert):
             kind, body = "insert", self._insert
         elif isinstance(stmt, Delete):
             kind, body = "delete", self._delete
         else:
-            kind, body = "update", functools.partial(self._update,
-                                                     replay=replay)
+            kind, body = "update", self._update
         result = TxnResult(txn_id, kind, stmt.relation)
         target = self.resolve_root(stmt)
         if target is None:
@@ -439,7 +438,7 @@ class TransactionManager:
             result.root = root
             result.locks_acquired = 1
         try:
-            body(stmt, result)
+            body(stmt, result, replay)
         except SynergyError:
             # refused before any mutation: the log resolves it, so let go
             self._let_go(stmt, target)
@@ -510,24 +509,29 @@ class TransactionManager:
 
     # -- insert -----------------------------------------------------------------
 
-    def _insert(self, stmt: Insert, result: TxnResult) -> None:
+    def _insert(self, stmt: Insert, result: TxnResult, replay: bool) -> None:
+        """An insert takes a new key (``replay``: or one holding the
+        insert's own values, its crashed pass's write)."""
         values = stmt.value_map
         base_key = self._row_key(stmt)
-        # overwriting an existing row moves its index rows; a view row can
-        # only exist while its base row does
         old = self.store.get(stmt.relation, base_key)
-        self._apply(self._moves(stmt.relation, base_key, old, values), result)
+        if old is not None and not (replay and old == values):
+            key = {a: values[a]
+                   for a in self.catalog.handle(stmt.relation).key_attrs}
+            raise DuplicateKeyError(f"{stmt.relation} already holds key {key}")
+        self._apply(self._moves(stmt.relation, base_key, None, values), result)
         for view in self._views_last.get(stmt.relation, ()):
             built = build_insert_view_tuple(view, stmt, self.store,
                                             self.catalog)
-            vkey, cells = built or (
-                key_of(self.catalog.handle(view.name), values), None)
-            old_view = None if old is None else self.store.get(view.name, vkey)
-            self._apply(self._moves(view.name, vkey, old_view, cells), result)
+            if built is not None:
+                vkey, cells = built
+                self._apply(self._moves(view.name, vkey, None, cells), result)
 
     # -- delete -----------------------------------------------------------------
 
-    def _delete(self, stmt: Delete, result: TxnResult) -> None:
+    def _delete(self, stmt: Delete, result: TxnResult, replay: bool) -> None:
+        """A replay deletes as the first pass did: the base row it matches
+        goes last, so the replay still finds it."""
         base_key = self._row_key(stmt)
         old = self.store.get(stmt.relation, base_key)
         if old is None or not _row_matches(old, stmt.filters):

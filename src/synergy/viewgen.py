@@ -103,14 +103,6 @@ class WorkloadWeights:
         return sum(self.edge_weight(e) for e in edges)
 
 
-def heuristic_weight(element, workload: list[Statement]) -> int:
-    """Overlapping-join count for a single edge or an iterable of edges."""
-    weights = WorkloadWeights(workload)
-    if isinstance(element, Edge):
-        return weights.edge_weight(element)
-    return weights.path_weight(element)
-
-
 # -- step 1: collapse parallel edges ------------------------------------------
 
 def to_dag(graph: SchemaGraph, workload: list[Statement]) -> SchemaGraph:
@@ -332,7 +324,6 @@ class GenerationResult:
     dag: SchemaGraph
     dropped: list[Edge]
     order: list[str]
-    rooted_graphs: list[RootedGraph]
     assignments: list[Assignment]
     trees: list[RootedTree]
     candidates: list[CandidateView]
@@ -353,4 +344,4 @@ def generate_candidate_views(graph: SchemaGraph, schema: SchemaDef,
     trees = [to_rooted_tree(rg, workload) for rg in rooted_graphs]
     candidates = enumerate_candidate_views(trees)
     return GenerationResult(graph, dag, dropped_edges(graph, dag), order,
-                            rooted_graphs, assignments, trees, candidates)
+                            assignments, trees, candidates)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .errors import AmbiguityError
 from .schema import Edge, IndexDef, SchemaDef
 from .sqlparse import (AttrRef, Filter, JoinCondition, SelectJoin, Statement,
-                       Update)
+                       Update, check_joins)
 from .viewgen import (CandidateView, RootedTree, edge_matches_query,
                       path_nodes, query_join_pairs)
 
@@ -182,6 +182,7 @@ def rewrite_statement(stmt: Statement, trees: list[RootedTree],
     or a query picking none of them, comes back unchanged."""
     if not isinstance(stmt, SelectJoin) or not stmt.joins:
         return stmt
+    check_joins(stmt)
     by_path = {v.relations: v for v in views}
     return rewrite_query(stmt, [
         by_path[cv.relations] for cv in select_views_for_query(stmt, trees)

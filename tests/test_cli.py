@@ -264,14 +264,15 @@ def test_database_save_open_round_trip(tmp_path):
     db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
                          data_dir=data_dir)
     populate_tpcw_micro(db, scale=4, ratio=2, seed=2)
-    counts = {t: db.store.count(t) for t in db.store.table_names()}
+    counts = {h.name: db.store.count(h.name)
+              for h in db.catalog.all_handles()}
     db.save(data_dir)
     db.close()
 
     reopened = Database.open(data_dir)
     try:
-        assert {t: reopened.store.count(t)
-                for t in reopened.store.table_names()} == counts
+        assert {h.name: reopened.store.count(h.name)
+                for h in reopened.catalog.all_handles()} == counts
         assert reopened.recovery.replayed == []
         assert reopened.verify().ok
         # and it still executes statements

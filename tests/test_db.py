@@ -648,7 +648,8 @@ def test_open_assembles_the_catalog_that_create_built(tmp_path, fixture):
         assert locks == [h.name for h in created.all_handles()
                          if h.kind == LOCK]
         assert locks == ["LK_" + root for root in db.schema.roots]
-        assert reopened.store.table_names() == db.store.table_names()
+        assert [reopened.store.count(h.name) for h in opened.all_handles()] \
+            == [db.store.count(h.name) for h in created.all_handles()]
     finally:
         reopened.close()
 

@@ -14,8 +14,9 @@ from synergy.errors import (AmbiguityError, DirtyReadTimeout, SchemaError,
 from synergy.fixtures import (company_schema, company_workload,
                               populate_company, populate_tpcw_micro,
                               tpcw_micro_schema, tpcw_micro_workload)
-from synergy.sqlparse import (SelectJoin, count_placeholders,
-                               parse_statement, render_statement)
+from synergy.sqlparse import (AttrRef, JoinCondition, SelectJoin,
+                               count_placeholders, parse_statement,
+                               render_statement)
 from synergy.storage import DIRTY, encode_key, key_of
 
 
@@ -111,6 +112,16 @@ def test_a_join_with_an_unqualified_side_is_refused():
             db.execute(text)
         with pytest.raises(SqlSyntaxError):
             db.rewrite_statement(parse_statement(text))
+        # built in code, a statement skips the parser's check
+        joined = parse_statement("SELECT * FROM Customer AS c, Order AS o "
+                                 "WHERE c.C_ID = o.O_C_ID")
+        for side in (AttrRef(None, "C_BALANCE"), AttrRef("c", "C_BALANCE")):
+            stmt = dataclasses.replace(joined, joins=(
+                JoinCondition(AttrRef("c", "C_ID"), side),) + joined.joins)
+            with pytest.raises(SqlSyntaxError):
+                db.execute(stmt)
+            with pytest.raises(SqlSyntaxError):
+                db.rewrite_statement(stmt)
         rows = db.execute("SELECT c.C_ID, O_ID FROM Customer AS c, "
                           "Order AS o WHERE c.C_ID = o.O_C_ID AND "
                           "C_BALANCE = 1")

@@ -5,8 +5,9 @@ import time
 import pytest
 
 from synergy.db import Database
-from synergy.errors import (LockTimeout, OrphanError, SchemaError,
-                            UnsupportedUpdate, WalCorruptionError)
+from synergy.errors import (DuplicateKeyError, LockTimeout, OrphanError,
+                            SchemaError, UnsupportedUpdate,
+                            WalCorruptionError)
 from synergy.fixtures import (company_schema, company_workload,
                               populate_company, populate_tpcw_micro,
                               tpcw_micro_schema, tpcw_micro_workload)
@@ -274,8 +275,7 @@ def test_refusal_under_the_lock_lets_the_lock_go(db, tmp_path, monkeypatch,
 @pytest.mark.parametrize("under_lock, text, follow_up, row", [
     ("build_insert_view_tuple", "INSERT INTO Order_line (OL_ID, OL_O_ID, "
                                 "OL_I_ID, OL_QTY) VALUES (90, 1, 1, 1)",
-     "INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
-     "VALUES (90, 1, 1, 9)",
+     "UPDATE Order_line SET OL_QTY = 9 WHERE OL_ID = 90",
      ("Order_line", 90, "OL_QTY", 9)),
     ("plan_update_rows", "UPDATE Order SET O_STATUS = 'x' WHERE O_ID = 1",
      "UPDATE Order SET O_STATUS = 'y' WHERE O_ID = 1",
@@ -593,8 +593,8 @@ def company_with_hours(data_dir):
 @pytest.mark.parametrize("text, row", [
     ("UPDATE Works_On SET Hours = 40 WHERE WO_EID = 5 AND WO_PNo = 2",
      ("Works_On", (5, 2), "Hours", 40)),
-    ("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (5, 2, 50)",
-     ("Works_On", (5, 2), "Hours", 50)),
+    ("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (5, 3, 50)",
+     ("Works_On", (5, 3), "Hours", 50)),
     ("DELETE FROM Works_On WHERE WO_EID = 5 AND WO_PNo = 2",
      ("Works_On", (5, 2), None, None)),
     ("UPDATE Employee SET ESalary = 99 WHERE EID = 5",
@@ -711,25 +711,60 @@ def test_concurrent_writers_against_shared_roots(db):
     assert report.locks_held == 0
 
 
-def test_reinsert_same_key_relocates_index_rows(db):
-    seed_rows(db, customers=1, orders=1, lines=1)
-    # overwrite order line 1 with different attribute values; the covered
-    # index rows keyed on the old values must not linger
-    db.execute("INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
-               "VALUES (1, 1, 77, 9)")
-    report = db.verify()
-    assert report.ok, report.describe()
-    row = db.store.get("Order_line", key_of(1))
-    assert row == {"OL_ID": 1, "OL_O_ID": 1, "OL_I_ID": 77, "OL_QTY": 9}
+def every_row(db):
+    return {h.name: list(db.store.scan(h.name))
+            for h in db.catalog.all_handles()}
 
 
-def test_reinsert_pointing_at_missing_parent_drops_view_row(db):
-    seed_rows(db, customers=1, orders=1, lines=1)
-    db.execute("INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
-               "VALUES (1, 404, 1, 1)")
+@pytest.mark.parametrize("text", [
+    "INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) VALUES (1, 'x', 999)",
+    "INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
+    "VALUES (1, 1, 77, 9)",
+    # a new parent would move the row to another tree under the wrong lock
+    "INSERT INTO Order (O_ID, O_C_ID, O_STATUS, O_TOTAL) "
+    "VALUES (1, 3, 's', 5)",
+])
+def test_reinsert_same_key_is_refused(db, text):
+    """An insert over a stored key is refused before any write: the views
+    would keep the old row, and its lock is let go."""
+    seed_rows(db, customers=3, orders=2, lines=2)
+    before = every_row(db)
+    with pytest.raises(DuplicateKeyError):
+        db.execute(text)
+    assert every_row(db) == before
+    assert pending_transactions(read_wal(db.wal.path)) == []
+    db.execute("UPDATE Customer SET C_BALANCE = 5 WHERE C_ID = 1")
     report = db.verify()
     assert report.ok, report.describe()
-    assert db.store.count("V_Customer_Order_Order_line") == 0
+
+
+def test_reinsert_pointing_at_missing_parent_is_refused(db):
+    """With its parent missing the insert resolves no root and takes no
+    lock; the stored row and its view row stay."""
+    seed_rows(db, customers=1, orders=1, lines=1)
+    before = every_row(db)
+    with pytest.raises(DuplicateKeyError):
+        db.execute("INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
+                   "VALUES (1, 404, 1, 1)")
+    assert every_row(db) == before
+    assert db.store.count("V_Customer_Order_Order_line") == 1
+
+
+def test_replayed_insert_over_another_row_is_aborted(db):
+    """Replay accepts a stored row only when it holds the insert's own
+    values; any other row at the key aborts the replay."""
+    seed_rows(db, customers=1, orders=1, lines=1)
+    before = every_row(db)
+    high = wal_high_water(read_wal(db.wal.path))
+    db.wal.append(high + 1, PHASE_BEGIN,
+                  "INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
+                  "VALUES (1, 1, 77, 9)")
+    report = manager_like(db).recover()
+    assert report.replayed == []
+    assert [a[0] for a in report.aborted] == [high + 1]
+    assert "already holds key" in report.aborted[0][2]
+    assert every_row(db) == before
+    assert db.verify().ok
 
 
 # -- row moves: an index key is computed once per side ------------------------------
@@ -748,8 +783,8 @@ def hours_key(hours):
     ("UPDATE Works_On SET Hours = 40 WHERE WO_EID = 5 AND WO_PNo = 2", 40),
     # no key value of the index changes: its row stays at its key
     ("UPDATE Employee SET ESalary = 99 WHERE EID = 5", 30),
-    # the new row lacks the indexed value: it has no index row
-    ("INSERT INTO Works_On (WO_EID, WO_PNo) VALUES (5, 2)", None),
+    # a new row lacking the indexed value: it has no index row
+    ("INSERT INTO Works_On (WO_EID, WO_PNo) VALUES (5, 3)", 30),
 ])
 def test_a_row_move_deletes_only_an_index_key_that_changed(tmp_path, text,
                                                            hours):

@@ -8,10 +8,10 @@ from synergy.fixtures import company_schema, company_workload
 from synergy.schema import (Edge, ForeignKey, RelationDef, SchemaDef,
                             SchemaGraph, build_schema_graph)
 from synergy.sqlparse import parse_statement
-from synergy.viewgen import (RootedGraph, assign_to_roots,
+from synergy.viewgen import (RootedGraph, WorkloadWeights, assign_to_roots,
                              enumerate_candidate_views,
-                             generate_candidate_views, heuristic_weight,
-                             to_dag, to_rooted_tree, topological_order)
+                             generate_candidate_views, to_dag,
+                             to_rooted_tree, topological_order)
 
 
 def company_graph():
@@ -31,14 +31,14 @@ def join_query(src, dst, pk, fk):
 
 def test_home_address_edge_weight_is_one():
     graph = company_graph()
-    assert heuristic_weight(edge_by_fk(graph, "EHome_AID"),
-                            company_workload()) == 1
+    assert WorkloadWeights(company_workload()).edge_weight(
+        edge_by_fk(graph, "EHome_AID")) == 1
 
 
 def test_office_address_edge_weight_is_zero():
     graph = company_graph()
-    assert heuristic_weight(edge_by_fk(graph, "EOffice_AID"),
-                            company_workload()) == 0
+    assert WorkloadWeights(company_workload()).edge_weight(
+        edge_by_fk(graph, "EOffice_AID")) == 0
 
 
 def test_department_chain_path_weight():
@@ -46,7 +46,7 @@ def test_department_chain_path_weight():
     # Employee -> Works_On edge, W1 matches neither
     graph = company_graph()
     path = (edge_by_fk(graph, "E_DNo"), edge_by_fk(graph, "WO_EID"))
-    assert heuristic_weight(path, company_workload()) == 3
+    assert WorkloadWeights(company_workload()).path_weight(path) == 3
 
 
 def test_composite_key_edge_needs_all_condition_pairs():
@@ -61,8 +61,8 @@ def test_composite_key_edge_needs_all_condition_pairs():
     full = parse_statement(
         "SELECT * FROM P as p, C as c WHERE p.a = c.fa AND p.b = c.fb")
     edge = graph.edges[0]
-    assert heuristic_weight(edge, [partial]) == 0
-    assert heuristic_weight(edge, [full]) == 2
+    assert WorkloadWeights([partial]).edge_weight(edge) == 0
+    assert WorkloadWeights([full]).edge_weight(edge) == 2
 
 
 # -- step 1: DAG ------------------------------------------------------------------
