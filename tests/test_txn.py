@@ -1,3 +1,4 @@
+import hashlib
 import os
 import threading
 import time
@@ -159,6 +160,92 @@ def test_lock_timeout(tmp_path):
 
 
 # -- write procedures ----------------------------------------------------------------------
+
+#: per fixture, each step with its store writes' count and the first 16
+#: hex digits of the sha256 of their reprs, one per line in call order
+PINNED_WRITES = {
+    "tpcw-micro": [
+        ("populate", (114, "941d7b59d1da83b3")),
+        ("INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) VALUES (90, 'x', 1)",
+         (4, "4a050c1de97ee540")),
+        ("INSERT INTO Order (O_ID, O_C_ID, O_STATUS, O_TOTAL) "
+         "VALUES (90, 90, 's', 5)", (5, "f3066d2f5cfc7f4e")),
+        ("INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
+         "VALUES (90, 90, 1, 1)", (6, "b68c43da3d70e41a")),
+        ("UPDATE Customer SET C_BALANCE = 7 WHERE C_ID = 1",
+         (51, "30da41a3c059f5ee")),
+        ("UPDATE Order SET O_STATUS = 'x' WHERE O_ID = 1",
+         (27, "e36b395a4e1ee0dc")),
+        ("UPDATE Order_line SET OL_QTY = 4 WHERE OL_ID = 1",
+         (12, "9f21fab8eaa301a1")),
+        ("DELETE FROM Order_line WHERE OL_ID = 90", (6, "45880d01e7ab6a32")),
+        ("DELETE FROM Order WHERE O_ID = 90", (5, "5b41d08d8e103de3")),
+        ("DELETE FROM Customer WHERE C_ID = 90", (3, "263d0dd9bb24d6ad")),
+    ],
+    "company": [
+        ("populate", (73, "a4e0c51c02486a70")),
+        ("INSERT INTO Address (AID, Astreet, Acity) VALUES (90, 's', 'c')",
+         (4, "e26e41c47793b5fe")),
+        ("INSERT INTO Employee (EID, EName, ESalary, EHome_AID, EOffice_AID, "
+         "E_DNo) VALUES (90, 'e', 10, 90, 1, 1)", (4, "4baa60f80e13d48e")),
+        ("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (90, 1, 7)",
+         (5, "bf49621be880feb3")),
+        ("UPDATE Address SET Acity = 'x' WHERE AID = 1",
+         (9, "0f1faf4ab1ddb848")),
+        ("UPDATE Employee SET ESalary = 5 WHERE EID = 1",
+         (6, "02376bd8a526e29a")),
+        ("UPDATE Works_On SET Hours = 8 WHERE WO_EID = 90 AND WO_PNo = 1",
+         (10, "bd19b8a72c46244c")),
+        ("DELETE FROM Works_On WHERE WO_EID = 90 AND WO_PNo = 1",
+         (5, "351dfe7ca240a4d3")),
+        ("DELETE FROM Employee WHERE EID = 90", (4, "81bf2cb2a3dfd1fb")),
+        ("DELETE FROM Address WHERE AID = 90", (3, "bd2b760991970f7d")),
+    ],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_WRITES))
+def test_every_store_write_is_pinned_in_order(tmp_path, fixture):
+    """Each step's store writes (put, delete, check_and_put with their
+    table, key and cells, in call order) hash to a pinned digest: root and
+    non-root inserts, updates and deletes, and the population before
+    them."""
+    if fixture == "company":
+        db = Database.create(company_schema(), company_workload(),
+                             data_dir=str(tmp_path / "d"))
+    else:
+        db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                             data_dir=str(tmp_path / "d"))
+    calls = []
+
+    def recorded(name):
+        write = getattr(db.store, name)
+
+        def wrapper(*args):
+            calls.append(repr((name,) + args))
+            return write(*args)
+        return wrapper
+
+    for name in ("put", "delete", "check_and_put"):
+        setattr(db.store, name, recorded(name))
+    seen = []
+    try:
+        for text, _ in PINNED_WRITES[fixture]:
+            calls.clear()
+            if text != "populate":
+                db.execute(text)
+            elif fixture == "company":
+                populate_company(db, employees=5)
+            else:
+                populate_tpcw_micro(db, scale=3, ratio=2)
+            digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
+            seen.append((text, (len(calls), digest[:16])))
+        report = db.verify()
+        assert report.ok, report.describe()
+    finally:
+        db.close()
+    assert seen == PINNED_WRITES[fixture]
+
 
 def test_insert_applies_only_to_views_where_relation_is_last(db):
     seed_rows(db, customers=1, orders=0, lines=0)
