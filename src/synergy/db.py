@@ -128,7 +128,7 @@ class Database:
         self.txn = TransactionManager(self.store, self.catalog, self.views,
                                       self.trees, self.wal,
                                       lock_timeout=lock_timeout)
-        self.engine = QueryEngine(self.store, self.catalog)
+        self.engine = QueryEngine(self.store, self.catalog, lock_timeout)
         self._tmp_dir = tmp_dir
         self.recovery = None
 

@@ -13,10 +13,12 @@ and every later visit probes the bucket for the outer value instead of
 re-scanning.  The buckets live for one execution attempt only; rows come
 out in the same order as the nested loop would give them.  Rows surfaced
 from a view or view-index carrying the dirty mark abort the statement,
-which restarts from scratch (bounded retries); returned rows never expose
-the mark.  A hash step checks the mark on the rows a probe returns, not
-on every row of its build, so a marked row no outer row reaches costs
-nothing.
+which restarts from scratch, re-scanning for at most the engine's
+``timeout`` (the database's lock timeout: a mark lives only while its
+writer holds the root lock) before ``DirtyReadTimeout``; returned rows
+never expose the mark.  A hash step checks the mark on the rows a probe
+returns, not on every row of its build, so a marked row no outer row
+reaches costs nothing.
 
 A ``QueryEngine`` plans each distinct statement once and keeps the plan
 for every later execution: the catalog is fixed when the engine is built,
@@ -327,10 +329,11 @@ class QueryEngine:
     """Executor holding a plan cache keyed by statement; reads proceed
     without locks and re-scan on dirty."""
 
-    def __init__(self, store: Store, catalog: StoreCatalog):
+    def __init__(self, store: Store, catalog: StoreCatalog,
+                 timeout: float = 10.0):
         self.store = store
         self.catalog = catalog
-        self.max_rescans = 100
+        self.timeout = timeout
         self._plans: dict[SelectJoin, QueryPlan] = {}
         self._plans_lock = threading.Lock()
 
@@ -361,14 +364,18 @@ class QueryEngine:
             if not value_fits(params[index], vtype):
                 raise SchemaError(f"query parameter ?{index} = "
                                   f"{params[index]!r} does not fit {vtype}")
-        backoff = 0.0002
-        for attempt in range(self.max_rescans):
+        backoff, deadline = 0.0002, None
+        while True:
             try:
                 return execute_plan(plan, params, self.store, self.catalog)
             except _DirtyRow:
-                # give the writer's mark window a chance to close
-                if attempt:
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + self.timeout    # re-scan at once
+                elif now < deadline:
+                    # give the writer's mark window a chance to close
                     time.sleep(backoff)
                     backoff = min(backoff * 2, 0.002)
-        raise DirtyReadTimeout(
-            f"read kept hitting marked rows after {self.max_rescans} tries")
+                else:
+                    raise DirtyReadTimeout(f"read kept hitting marked rows "
+                                           f"for {self.timeout}s") from None

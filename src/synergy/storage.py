@@ -8,8 +8,8 @@ handing it to ``put``; readers must not mutate returned dicts.
 
 Row keys are an order-preserving encoding of a value tuple: components
 joined by 0x1F, strings escaping 0x1B/0x1F with an 0x1B prefix, integers
-as fixed-width big-endian with the sign bit flipped.  Decoding is exact
-for every value; byte order matches tuple order as long as string
+as fixed-width big-endian with the sign bit flipped.  Distinct tuples
+get distinct keys; byte order matches tuple order as long as string
 components stay clear of C0 control characters (below 0x20).
 
 ``key_encoder`` builds one encoder per key shape (a tuple of key types),
@@ -138,39 +138,6 @@ def key_encoder(types: tuple[str, ...]) -> Callable[[Sequence], bytes]:
             return reference(values)
         return encode
     return reference
-
-
-def decode_key(key: bytes, types: Iterable[str]) -> tuple:
-    out = []
-    pos = 0
-    types = tuple(types)
-    for i, t in enumerate(types):
-        if i > 0:
-            if pos >= len(key) or key[pos:pos + 1] != DELIM:
-                raise ValueError("malformed key: missing delimiter")
-            pos += 1
-        if t == "int":
-            chunk = key[pos:pos + 8]
-            if len(chunk) != 8:
-                raise ValueError("malformed key: truncated integer")
-            out.append(struct.unpack(">Q", chunk)[0] - _INT_OFFSET)
-            pos += 8
-        else:
-            buf = bytearray()
-            while pos < len(key):
-                b = key[pos:pos + 1]
-                if b == ESCAPE:
-                    buf += key[pos + 1:pos + 2]
-                    pos += 2
-                elif b == DELIM:
-                    break
-                else:
-                    buf += b
-                    pos += 1
-            out.append(decode_text(buf))
-    if pos != len(key):
-        raise ValueError("malformed key: trailing bytes")
-    return tuple(out)
 
 
 def prefix_range(values: Iterable, handle: TableHandle) -> tuple[bytes, bytes]:

@@ -5,20 +5,22 @@ root relation covering its target (none when the relation is outside every
 rooted tree).  One scope takes it and gives it up exactly when the WAL
 resolves the write: on success and on a ``SynergyError`` (raised before any
 mutation).  Any other exception, an injected crash included, leaves the
-write half-applied with its begin record pending, so the lock stays held
-until recovery replays it; releasing it earlier would let a later write
-commit and then be overwritten by that replay.  A delete of a root row
-gives its lock up by deleting the lock row.
+write unapplied or half-applied with its begin record pending, so the lock
+stays held until recovery replays it; releasing it earlier would let a
+later write commit and then be overwritten by that replay.  A delete of a
+root row gives its lock up by deleting the lock row.
 
-Every write changes rows by one move rule: a row of a base table or view
-going from an old row to a new one (or from or to no row) writes each of
-its index rows, keyed and projected from the row, and then the row itself;
-an index row whose key changed or went has its old key deleted.  Inserts
-take a new key (a row already there raises ``DuplicateKeyError`` before
-any write) and move the base row, then each applicable view row; deletes
-move the view rows first and the base row last.  Updates run the six-step
-procedure: lock, read, mark, update, un-mark, release; readers seeing a
-marked row re-scan.
+Every write runs six steps: lock; plan, which only reads; mark; apply;
+un-mark; release.  A plan lists rows, each with its moves and the stored
+row to mark, if any; one applier, ``_write``, runs steps 3 to 5 for every
+kind.  A move takes a row of a base table or view from an old row to a
+new one (or from or to no row): it writes each of its index rows, keyed
+and projected from the row, then the row itself, and deletes the old key
+of an index row whose key changed or went.  An insert takes a new key (a
+row already there raises ``DuplicateKeyError`` while planned) and moves
+the base row, then each applicable view row; a delete moves the view rows
+first and the base row last; an update moves the base row, then each view
+row holding it, marked from step 3 to 5.  Readers seeing a mark re-scan.
 
 Admission is ``schema.check_write`` alone, run before the begin record
 and the lock: a write pins its relation's full key and assigns no key or
@@ -34,8 +36,9 @@ or is held for recovery).  A write waiting on a held write's lock ends in
 ``LockTimeout``, so the wait ends within the lock timeout.  The checkpoint
 then keeps only ``WriteAheadLog.compacted``: the pending begins and a
 commit of the high-water id, from which an ``open`` resumes ids.
-Recovery admits each pending begin's statement by the same rule, then
-re-executes it; a statement refused or failing there is reported aborted.
+Recovery first frees every lock held at rest, each a crashed write's, then
+admits each pending begin's statement by the same rule and re-executes
+it; a statement refused or failing there is reported aborted.
 Either way it gets its commit record.  Replay is idempotent at any crash
 point because of the write order: a row is written after its index rows,
 so until the row itself changes, a replay reads the old row and derives
@@ -252,9 +255,12 @@ class LockManager:
         return (cas(table, key, LOCK_COLUMN, False, True)
                 or cas(table, key, LOCK_COLUMN, ABSENT, True))
 
-    def force_acquire(self, root: str, key: bytes) -> None:
-        """Recovery path: take ownership regardless of the recorded state."""
-        self.store.put(self._table(root), key, {LOCK_COLUMN: True})
+    def free_all(self, roots) -> None:
+        """Recovery path: release every lock held on these roots."""
+        for root in roots:
+            for key, cells in self.store.scan(self._table(root)):
+                if cells.get(LOCK_COLUMN):
+                    self.release(root, key)
 
     def release(self, root: str, key: bytes) -> None:
         table = self._table(root)
@@ -309,7 +315,7 @@ class TransactionManager:
         self._begin_mutex = threading.Lock()
         self._settled = threading.Condition()   # guards _in_flight
         self._in_flight = 0              # writes begun and not yet resolved
-        self.crash_after_update_step: int | None = None
+        self.crash_after_step: int | None = None
 
         self._chain: dict[str, tuple[str, tuple]] = {}
         for tree in trees:
@@ -415,41 +421,41 @@ class TransactionManager:
             yield time.monotonic() - start
 
     def _run(self, stmt, txn_id: int, replay: bool = False) -> TxnResult:
-        """The one lock scope of every write (``replay``: recovery takes
-        the lock whatever its state, and an insert or update accepts the
-        base row its crashed pass wrote)."""
+        """The one lock scope of every write, and the one place its crash
+        hooks fire: step 1 once the lock is taken, step 2 once the write
+        is planned, steps 3 to 5 in ``_write``, step 6 once the lock is let
+        go (``replay``: an insert or update accepts the base row its
+        crashed pass wrote)."""
         if isinstance(stmt, Insert):
-            kind, body = "insert", self._insert
+            kind, planner = "insert", self._insert
         elif isinstance(stmt, Delete):
-            kind, body = "delete", self._delete
+            kind, planner = "delete", self._delete
         else:
-            kind, body = "update", self._update
+            kind, planner = "update", self._update
         result = TxnResult(txn_id, kind, stmt.relation)
         target = self.resolve_root(stmt)
         if target is None:
             # in a tree yet unresolved: an insert with a broken chain
             result.orphan = stmt.relation in self._chain
         else:
-            root, root_key = target
-            if replay:
-                self.locks.force_acquire(root, root_key)
-            else:
-                self.locks.acquire(root, root_key)
-            result.root = root
+            self.locks.acquire(*target)
+            result.root = target[0]
             result.locks_acquired = 1
+        self._crash(1)
         try:
-            body(stmt, result, replay)
+            plan = planner(stmt, replay)
         except SynergyError:
             # refused before any mutation: the log resolves it, so let go
             self._let_go(stmt, target)
             raise
+        self._crash(2)
         # any other exception (an injected crash included) leaves the write
-        # half-applied and its begin record pending: the lock stays held
-        # until recovery replays it, so no later write on this root can
-        # commit before that replay and be overwritten by it
+        # unapplied or half-applied and its begin record pending: the lock
+        # stays held until recovery replays it, so no later write on this
+        # root can commit before that replay and be overwritten by it
+        self._write(plan, result)
         self._let_go(stmt, target)
-        if kind == "update":
-            self._crash(6)
+        self._crash(6)
         return result
 
     def _let_go(self, stmt, target: tuple[str, bytes] | None) -> None:
@@ -462,6 +468,11 @@ class TransactionManager:
             self.locks.remove(root, root_key)
         else:
             self.locks.release(root, root_key)
+
+    def _crash(self, step: int) -> None:
+        if self.crash_after_step == step:
+            self.crash_after_step = None
+            raise CrashInjected(f"crash injected after step {step}")
 
     # -- row moves ----------------------------------------------------------------
 
@@ -491,27 +502,45 @@ class TransactionManager:
                       None if new is None else key, new))
         return moves
 
-    def _apply(self, moves: list[tuple], result: TxnResult,
-               staged: bool = False) -> None:
-        """Put each move's new row (marked when ``staged``), then delete its
-        old key if the row moved or went, in list order."""
-        for table, old_key, new_key, cells in moves:
-            touched = new_key is not None
-            if touched:
-                self.store.put(table, new_key,
-                               {**cells, DIRTY: True} if staged else cells)
-            if old_key is not None and old_key != new_key:
-                touched = self.store.delete(table, old_key) or touched
-            if touched:
-                field_name = self._count_field[table]
-                setattr(result, field_name,
-                        getattr(result, field_name) + 1)
+    def _write(self, plan: list[tuple], result: TxnResult) -> None:
+        """Steps 3 to 5 of any write, for each (stored row to mark or None,
+        moves) of ``plan``: mark the stored row at each old key of its
+        moves (a replay derives the old index keys from it); put each new
+        row, marked where its row was, then delete its old key if the row
+        moved or went, in plan order; un-mark."""
+        for marked, moves in plan:
+            if marked is not None:
+                for table, old_key, _, _ in moves:
+                    if old_key is not None:
+                        self.store.put(table, old_key,
+                                       {**marked, DIRTY: True})
+        self._crash(3)
+        for marked, moves in plan:
+            for table, old_key, new_key, cells in moves:
+                touched = new_key is not None
+                if touched:
+                    self.store.put(table, new_key, cells if marked is None
+                                   else {**cells, DIRTY: True})
+                if old_key is not None and old_key != new_key:
+                    touched = self.store.delete(table, old_key) or touched
+                if touched:
+                    field_name = self._count_field[table]
+                    setattr(result, field_name,
+                            getattr(result, field_name) + 1)
+        self._crash(4)
+        for marked, moves in plan:
+            if marked is not None:
+                for table, _, new_key, cells in moves:
+                    if new_key is not None:
+                        self.store.put(table, new_key, cells)
+        self._crash(5)
 
-    # -- insert -----------------------------------------------------------------
+    # -- planners: each only reads, and returns its write's plan -------------
 
-    def _insert(self, stmt: Insert, result: TxnResult, replay: bool) -> None:
-        """An insert takes a new key (``replay``: or one holding the
-        insert's own values, its crashed pass's write)."""
+    def _insert(self, stmt: Insert, replay: bool) -> list[tuple]:
+        """The base row, then each view row.  An insert takes a new key
+        (``replay``: or one holding the insert's own values, its crashed
+        pass's write)."""
         values = stmt.value_map
         base_key = self._row_key(stmt)
         old = self.store.get(stmt.relation, base_key)
@@ -519,94 +548,62 @@ class TransactionManager:
             key = {a: values[a]
                    for a in self.catalog.handle(stmt.relation).key_attrs}
             raise DuplicateKeyError(f"{stmt.relation} already holds key {key}")
-        self._apply(self._moves(stmt.relation, base_key, None, values), result)
+        plan = [(None, self._moves(stmt.relation, base_key, None, values))]
         for view in self._views_last.get(stmt.relation, ()):
             built = build_insert_view_tuple(view, stmt, self.store,
                                             self.catalog)
             if built is not None:
                 vkey, cells = built
-                self._apply(self._moves(view.name, vkey, None, cells), result)
+                plan.append((None, self._moves(view.name, vkey, None, cells)))
+        return plan
 
-    # -- delete -----------------------------------------------------------------
-
-    def _delete(self, stmt: Delete, result: TxnResult, replay: bool) -> None:
-        """A replay deletes as the first pass did: the base row it matches
-        goes last, so the replay still finds it."""
+    def _delete(self, stmt: Delete, replay: bool) -> list[tuple]:
+        """The view rows, then the base row the delete matches, last, so
+        that a replay still finds it."""
         base_key = self._row_key(stmt)
         old = self.store.get(stmt.relation, base_key)
         if old is None or not _row_matches(old, stmt.filters):
-            return
-        # views first so a replay still sees the base row
+            return []
+        plan = []
         for view in self._views_last.get(stmt.relation, ()):
             vkey = key_of(self.catalog.handle(view.name), old)
-            self._apply(self._moves(view.name, vkey,
-                                    self.store.get(view.name, vkey), None),
-                        result)
-        self._apply(self._moves(stmt.relation, base_key, old, None), result)
+            plan.append((None, self._moves(
+                view.name, vkey, self.store.get(view.name, vkey), None)))
+        plan.append((None, self._moves(stmt.relation, base_key, old, None)))
+        return plan
 
-    # -- update (six steps) --------------------------------------------------------
-
-    def _crash(self, step: int) -> None:
-        if self.crash_after_update_step == step:
-            self.crash_after_update_step = None
-            raise CrashInjected(f"crash injected after update step {step}")
-
-    def _update(self, stmt: Update, result: TxnResult, replay: bool) -> None:
-        """Steps 2 to 5; ``_run`` takes the lock (step 1) and gives it up
-        (step 6)."""
-        self._crash(1)
-
-        # step 2: read every row to be updated
+    def _update(self, stmt: Update, replay: bool) -> list[tuple]:
+        """The base row, then each view row holding it, marked while it
+        changes."""
         base_key = self._row_key(stmt)
-        base_old = self.store.get(stmt.relation, base_key)
+        old = self.store.get(stmt.relation, base_key)
         filters = stmt.filters
-        if replay and base_old is not None and all(
-                base_old.get(a) == v for a, v in stmt.assignments):
+        if replay and old is not None and all(
+                old.get(a) == v for a, v in stmt.assignments):
             # the crashed pass may have written the base row: a filter on
             # an assigned attribute tested the old value, so it holds
             assigned = {a for a, _ in stmt.assignments}
             filters = [f for f in filters if f.ref.name not in assigned]
-        base_moves, view_rows = [], []
-        if base_old is not None and _row_matches(base_old, filters):
-            new_base = dict(base_old)
-            new_base.update(stmt.assignments)
-            base_moves = self._moves(stmt.relation, base_key, base_old,
-                                     new_base)
-            for view in self._views_containing.get(stmt.relation, ()):
-                plan = plan_update_rows(view, stmt, self.store, self.catalog)
-                view_rows += [(old, self._moves(view.name, vkey, old, new))
-                              for vkey, old, new in plan.rows]
-        self._crash(2)
-
-        # step 3: mark every view and view-index row to be updated, each at
-        # its old key with the old view row's cells: a replay derives the
-        # old index keys from the view row, and readers re-scan on any mark
-        # until step 4 overwrites or deletes it
-        for old, moves in view_rows:
-            for table, old_key, _, _ in moves:
-                if old_key is not None:
-                    self.store.put(table, old_key, {**old, DIRTY: True})
-        self._crash(3)
-
-        # step 4: apply the updates (marks stay on until step 5)
-        self._apply(base_moves, result)
-        for _, moves in view_rows:
-            self._apply(moves, result, staged=True)
-        self._crash(4)
-
-        # step 5: un-mark everything written
-        for _, moves in view_rows:
-            for table, _, new_key, cells in moves:
-                if new_key is not None:
-                    self.store.put(table, new_key, cells)
-        self._crash(5)
+        if old is None or not _row_matches(old, filters):
+            return []
+        new = dict(old)
+        new.update(stmt.assignments)
+        plan = [(None, self._moves(stmt.relation, base_key, old, new))]
+        for view in self._views_containing.get(stmt.relation, ()):
+            rows = plan_update_rows(view, stmt, self.store, self.catalog).rows
+            plan += [(vold, self._moves(view.name, vkey, vold, vnew))
+                     for vkey, vold, vnew in rows]
+        return plan
 
     # -- recovery ------------------------------------------------------------------
 
     def recover(self) -> RecoveryReport:
-        """Re-execute every begin the log holds pending, in id order, from
-        its statement, then release its lock; runs before serving
-        traffic."""
+        """Free every lock held at rest, then re-execute every begin the
+        log holds pending, in id order, from its statement; runs before
+        serving traffic.  At rest each held lock is a crashed write's, and
+        that write is pending, so its replay takes the lock again, or is
+        aborted, its lock free either way."""
+        self.locks.free_all(dict.fromkeys(r for r, _ in self._chain.values()))
         report = RecoveryReport()
         for txn_id, text in self.wal.pending():
             stmt = parse_statement(text)

@@ -100,7 +100,7 @@ def mixed_run():
     # crash injection at each of the six update steps, then recovery
     crash_log = []
     for step in (1, 2, 3, 4, 5, 6):
-        db.txn.crash_after_update_step = step
+        db.txn.crash_after_step = step
         text = (f"UPDATE Customer SET C_BALANCE = {770_000 + step} "
                 f"WHERE C_ID = {step}")
         with pytest.raises(CrashInjected):

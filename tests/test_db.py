@@ -182,7 +182,7 @@ def test_crash_save_reopen_recovers_through_database_open(tmp_path):
                "VALUES (1, 'u', 0)")
     db.execute("INSERT INTO Order (O_ID, O_C_ID, O_STATUS, O_TOTAL) "
                "VALUES (1, 1, 's', 5)")
-    db.txn.crash_after_update_step = 4      # marks still set, lock held
+    db.txn.crash_after_step = 4      # marks still set, lock held
     with pytest.raises(CrashInjected):
         db.execute("UPDATE Customer SET C_BALANCE = 42 WHERE C_ID = 1")
     held = db.wal.high_water
@@ -292,6 +292,38 @@ def test_an_int_outside_64_bits_is_refused_before_the_begin_record(
         reopened.close()
 
 
+def test_fsync_round_trip(tmp_path, monkeypatch):
+    """With ``fsync=True`` every log append and every saved file is
+    fsynced, and the checkpoint opens whole."""
+    synced = []
+    real_fsync = os.fsync
+
+    def counted(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counted)
+    data_dir = str(tmp_path / "d")
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=data_dir, fsync=True)
+    before = len(synced)
+    db.execute(CUSTOMER_INSERT, (1, "u", 0))
+    assert len(synced) == before + 2          # the begin and the commit
+    before = len(synced)
+    db.save(data_dir)
+    # each of the four files, and the directory
+    assert len(synced) == before + 5
+    db.close()
+    reopened = Database.open(data_dir, fsync=True)
+    try:
+        assert reopened.recovery.replayed == []
+        assert reopened.store.get("Customer", encode_key((1,), ("int",)))
+        report = reopened.verify()
+        assert report.ok, report.describe()
+    finally:
+        reopened.close()
+
+
 @pytest.mark.parametrize("live_dir", [True, False],
                          ids=["live-dir", "no-live-dir"])
 def test_each_save_into_the_live_directory_truncates_the_log(tmp_path,
@@ -388,7 +420,7 @@ def test_save_waits_for_a_write_queued_behind_a_held_lock(tmp_path):
     db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
                          data_dir=data_dir, lock_timeout=0.3)
     db.execute(CUSTOMER_INSERT, (1, "u", 0))
-    db.txn.crash_after_update_step = 4      # the Customer 1 lock stays held
+    db.txn.crash_after_step = 4      # the Customer 1 lock stays held
     with pytest.raises(CrashInjected):
         db.execute("UPDATE Customer SET C_BALANCE = 42 WHERE C_ID = 1")
     held = db.wal.high_water
@@ -435,7 +467,7 @@ def test_second_open_after_recovery_replays_nothing(tmp_path):
                          data_dir=data_dir)
     db.execute("INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) "
                "VALUES (1, 'u', 0)")
-    db.txn.crash_after_update_step = 3
+    db.txn.crash_after_step = 3
     with pytest.raises(CrashInjected):
         db.execute("UPDATE Customer SET C_BALANCE = 9 WHERE C_ID = 1")
     db.save(data_dir)

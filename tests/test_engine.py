@@ -197,7 +197,7 @@ def test_permanently_dirty_row_times_out():
     db = Database.create(company_schema(), company_workload())
     try:
         populate_company(db, employees=4, seed=2)
-        db.engine.max_rescans = 5
+        db.engine.timeout = 0.05
         vh = db.catalog.handle("V_Address_Employee")
         key, cells = next(iter(db.store.scan("V_Address_Employee")))
         stuck = dict(cells)
@@ -416,7 +416,7 @@ def test_marked_row_in_a_hashed_view_step_forces_rescan():
                               if c["C_ID"] == customer)
             db.store.put(step.scan_table, key, dict(cells, **{DIRTY: True}))
 
-        db.engine.max_rescans = 3
+        db.engine.timeout = 0.01
         # a marked row no probe reaches does not abort the read
         mark(2)
         assert len(db.execute(stmt)) == 4

@@ -362,8 +362,9 @@ def test_refusal_under_the_lock_lets_the_lock_go(db, tmp_path, monkeypatch,
 @pytest.mark.parametrize("under_lock, text, follow_up, row", [
     ("build_insert_view_tuple", "INSERT INTO Order_line (OL_ID, OL_O_ID, "
                                 "OL_I_ID, OL_QTY) VALUES (90, 1, 1, 1)",
-     "UPDATE Order_line SET OL_QTY = 9 WHERE OL_ID = 90",
-     ("Order_line", 90, "OL_QTY", 9)),
+     "INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
+     "VALUES (91, 1, 1, 9)",
+     ("Order_line", 91, "OL_QTY", 9)),
     ("plan_update_rows", "UPDATE Order SET O_STATUS = 'x' WHERE O_ID = 1",
      "UPDATE Order SET O_STATUS = 'y' WHERE O_ID = 1",
      ("Order", 1, "O_STATUS", "y")),
@@ -396,6 +397,9 @@ def test_failure_under_the_lock_holds_it_for_recovery(db, tmp_path,
     try:
         assert len(reopened.recovery.replayed) == 1
         assert not reopened.txn.locks.held("Customer", key_of(1))
+        if under_lock == "build_insert_view_tuple":
+            # the replay wrote the insert, which failed before any write
+            assert reopened.store.get("Order_line", key_of(90)) is not None
         reopened.execute(follow_up)
         reopened.save(str(tmp_path / "again"))
     finally:
@@ -577,12 +581,28 @@ def manager_like(db) -> TransactionManager:
                               db.wal)
 
 
-@pytest.mark.parametrize("step", [1, 2, 3, 4, 5, 6])
-def test_crash_at_each_update_step_then_recover(db, step):
+#: per write kind: the statement, and its row once recovered as
+#: (relation, key, attribute, value), attribute None for a row deleted
+CRASHED_WRITES = {
+    "update": ("UPDATE Customer SET C_BALANCE = 777 WHERE C_ID = 1",
+               ("Customer", 1, "C_BALANCE", 777)),
+    "insert": ("INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
+               "VALUES (90, 1, 1, 7)", ("Order_line", 90, "OL_QTY", 7)),
+    "delete": ("DELETE FROM Order_line WHERE OL_ID = 1",
+               ("Order_line", 1, None, None)),
+}
+
+
+@pytest.mark.parametrize("kind, step", [
+    pytest.param(kind, step,
+                 id=str(step) if kind == "update" else f"{kind}-{step}")
+    for kind in CRASHED_WRITES for step in range(1, 7)])
+def test_crash_at_each_update_step_then_recover(db, kind, step):
     seed_rows(db, customers=2, orders=3, lines=3)
-    db.txn.crash_after_update_step = step
+    text, (relation, key, attr, value) = CRASHED_WRITES[kind]
+    db.txn.crash_after_step = step
     with pytest.raises(CrashInjected):
-        db.execute("UPDATE Customer SET C_BALANCE = 777 WHERE C_ID = 1")
+        db.execute(text)
     # the failed transaction must keep its lock until recovery (except
     # after step 6, where it was already released)
     if step < 6:
@@ -590,18 +610,59 @@ def test_crash_at_each_update_step_then_recover(db, step):
 
     replacement = manager_like(db)
     report = replacement.recover()
-    assert len(report.replayed) == 1
-    assert "UPDATE Customer" in report.replayed[0][1]
+    # a delete crashed once its base row went has nothing left to find:
+    # its replay is aborted, and the store shows the delete done
+    logged = report.replayed + [a[:2] for a in report.aborted]
+    assert [t.split()[0] for _, t in logged] == [kind.upper()]
+    if kind != "delete":
+        assert len(report.replayed) == 1
     assert not replacement.locks.held("Customer", key_of(1))
 
     verify = db.verify()
     assert verify.dirty_cells == 0
     assert verify.ok, verify.describe()
-    # the update landed exactly once
-    row = db.store.get("Customer", key_of(1))
-    assert row["C_BALANCE"] == 777
+    # the write landed exactly once
+    row = db.store.get(relation, key_of(key))
+    assert (row if attr is None else row[attr]) == value
     # recovery resolved the transaction: nothing pending remains
     assert pending_transactions(read_wal(db.wal.path)) == []
+
+
+def test_a_delete_that_dies_after_its_base_row_strands_no_lock(tmp_path):
+    """Recovery cannot replay a delete whose base row is already gone (its
+    root no longer resolves), so it aborts it; the crashed write's lock is
+    freed all the same, at this open and every later one."""
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=str(tmp_path / "live"), lock_timeout=0.3)
+    seed_rows(db, customers=1, orders=1, lines=0)
+    db.execute("INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
+               "VALUES (11, 1, 1, 1)")
+    delete = db.store.delete
+
+    def dies_after_the_base_row(table, key):
+        gone = delete(table, key)
+        if table == "Order_line":
+            raise CrashInjected("crash after the base row is deleted")
+        return gone
+
+    db.store.delete = dies_after_the_base_row
+    with pytest.raises(CrashInjected):
+        db.execute("DELETE FROM Order_line WHERE OL_ID = 11")
+    db.save(str(tmp_path / "first"))
+    db.close()
+    for saved, then in (("first", "second"), ("second", None)):
+        reopened = Database.open(str(tmp_path / saved), lock_timeout=0.3)
+        try:
+            assert len(reopened.recovery.aborted) == (saved == "first")
+            report = reopened.verify()
+            assert report.locks_held == 0
+            assert report.ok, report.describe()
+            reopened.execute("UPDATE Customer SET C_BALANCE = 5 "
+                             "WHERE C_ID = 1")
+            if then:
+                reopened.save(str(tmp_path / then))
+        finally:
+            reopened.close()
 
 
 def test_recover_empty_wal_is_noop(db):
