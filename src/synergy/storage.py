@@ -3,8 +3,8 @@
 Tables hold rows sorted by raw key bytes.  Each row is a dict of named
 cells; a put replaces the whole row object atomically, so concurrent
 readers always observe a complete row (read-committed at row granularity,
-never a snapshot across rows).  Writers must not mutate a dict after
-handing it to ``put``; readers must not mutate returned dicts.
+never a snapshot across rows).  Writers must not mutate a dict once put,
+nor readers one returned, so one dict may be stored in several tables.
 
 Row keys are an order-preserving encoding of a value tuple: components
 joined by 0x1F, strings escaping 0x1B/0x1F with an 0x1B prefix, integers

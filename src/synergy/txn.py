@@ -20,7 +20,11 @@ of an index row whose key changed or went.  An insert takes a new key (a
 row already there raises ``DuplicateKeyError`` while planned) and moves
 the base row, then each applicable view row; a delete moves the view rows
 first and the base row last; an update moves the base row, then each view
-row holding it, marked from step 3 to 5.  Readers seeing a mark re-scan.
+row holding it, marked from step 3 to 5.  Readers seeing a mark re-scan,
+never using its cells.  So a marked row whose keys all stay takes two
+writes: its new cells, marked (step 3), then un-marked (5); one with a
+moving key takes three: its stored row marked at each old key, then its
+new cells marked (4), then not (5).  A covering index row shares the row.
 
 Admission is ``schema.check_write`` alone, run before the begin record
 and the lock: a write pins its relation's full key and assigns no key or
@@ -30,9 +34,9 @@ The WAL records (txn id, phase, statement text) with a begin before the
 mutations and a commit after.  It reads its file once, when opened,
 cutting a torn final record, then keeps the pending begins and the highest
 id seen; each write's id is one past that high water.  ``quiesced`` is the
-checkpoint gate: it holds the mutex every begin record is written under
-and waits, with no poll, until no write is in flight (each has resolved
-or is held for recovery).  A write waiting on a held write's lock ends in
+checkpoint gate: it holds the mutex every begin is written and counted
+under, and waits, with no poll, until as many writes have ended (resolved
+or held for recovery).  A write waiting on a held write's lock ends in
 ``LockTimeout``, so the wait ends within the lock timeout.  The checkpoint
 then keeps only ``WriteAheadLog.compacted``: the pending begins and a
 commit of the high-water id, from which an ``open`` resumes ids.
@@ -47,7 +51,9 @@ view rows are gone, so a replay still finds it.  An insert's replay
 accepts a row at its key that holds the insert's own values.  An update's
 replay finds its base row already written once that row carries every
 value it assigns; a filter on an assigned attribute then tested the old
-value and holds.
+value and holds.  That write order keeps a moving row's replay idempotent;
+a row written twice holds its new cells, marked, at its keys after step 3,
+from which a replay plans the same cells and keys again.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from .errors import (DuplicateKeyError, LockTimeout, OrphanError,
 from .maintenance import (build_insert_view_tuple, key_values_from_filters,
                           parent_key, plan_update_rows)
 from .schema import (BASE, INDEX, LOCK_COLUMN, LOCK_TABLE_PREFIX, VIEW,
-                     StoreCatalog, TableHandle, check_write)
+                     StoreCatalog, check_write)
 from .sqlparse import (COMPARE, Delete, Insert, Update, WriteStatement,
                        count_placeholders, parse_statement, render_statement)
 from .storage import (ABSENT, DIRTY, Store, decode_text, encode_text,
@@ -312,9 +318,9 @@ class TransactionManager:
         self.views = views
         self.wal = wal
         self.locks = LockManager(store, lock_timeout)
-        self._begin_mutex = threading.Lock()
-        self._settled = threading.Condition()   # guards _in_flight
-        self._in_flight = 0              # writes begun and not yet resolved
+        self._begin_mutex = threading.Lock()    # guards _begun
+        self._settled = threading.Condition()   # guards _ended
+        self._begun = self._ended = 0    # writes begun; resolved or held
         self.crash_after_step: int | None = None
 
         self._chain: dict[str, tuple[str, tuple]] = {}
@@ -330,15 +336,17 @@ class TransactionManager:
             for rel_name in view.relations:
                 self._views_containing.setdefault(rel_name, []).append(view)
         # resolved once per table: a write's moves look both up per row;
-        # each index handle comes with the getter of its key values
-        self._index_handles: dict[str, list[tuple[TableHandle, Callable]]] = {}
-        self._count_field: dict[str, str] = {}
-        counted = {BASE: "base_rows", VIEW: "view_rows", INDEX: "index_rows"}
+        # each index handle comes with the getter of its key values and
+        # whether it covers its table's columns (its rows share the row's)
+        self._index_handles: dict[str, list[tuple]] = {}
+        self._count_slot: dict[str, int] = {}
+        counted = {BASE: 0, VIEW: 1, INDEX: 2}   # TxnResult's count order
         for handle in catalog.all_handles():
             self._index_handles[handle.name] = [
-                (ih, operator.itemgetter(*ih.key_attrs))
+                (ih, operator.itemgetter(*ih.key_attrs),
+                 set(ih.columns) >= set(handle.columns))
                 for ih in catalog.indexes_of(handle.name)]
-            self._count_field[handle.name] = counted.get(handle.kind)
+            self._count_slot[handle.name] = counted.get(handle.kind)
 
     # -- root resolution ---------------------------------------------------
 
@@ -393,8 +401,7 @@ class TransactionManager:
         with self._begin_mutex:
             txn_id = self.wal.high_water + 1
             self.wal.append(txn_id, PHASE_BEGIN, text)
-            with self._settled:
-                self._in_flight += 1
+            self._begun += 1
         try:
             result = self._run(stmt, txn_id)
         except SynergyError:
@@ -406,7 +413,7 @@ class TransactionManager:
         finally:
             # resolved or held for recovery; the lock is _run's to keep
             with self._settled:
-                self._in_flight -= 1
+                self._ended += 1
                 self._settled.notify_all()
         return result
 
@@ -417,7 +424,7 @@ class TransactionManager:
         with self._begin_mutex:
             start = time.monotonic()
             with self._settled:
-                self._settled.wait_for(lambda: not self._in_flight)
+                self._settled.wait_for(lambda: self._ended == self._begun)
             yield time.monotonic() - start
 
     def _run(self, stmt, txn_id: int, replay: bool = False) -> TxnResult:
@@ -481,11 +488,11 @@ class TransactionManager:
         """The writes that take the row of ``table`` at ``key`` from ``old``
         to ``new`` (None: no row), each as (table, old key, new key, new
         cells), a key None on a side without a row: first one per index
-        row, keyed and projected from the row, then the row itself.  An
-        index row whose key values the move leaves as they were keeps its
-        old key, which is not encoded again."""
+        row, keyed and projected from the row (a covering one shares it),
+        then the row itself.  An index row whose key values the move leaves
+        as they were keeps its old key, which is not encoded again."""
         moves = []
-        for ih, key_values in self._index_handles[table]:
+        for ih, key_values, covering in self._index_handles[table]:
             old_key = None if old is None else key_of(ih, old)
             if new is None:
                 new_key = None
@@ -494,8 +501,9 @@ class TransactionManager:
             else:
                 new_key = key_of(ih, new)
             if new_key is not None:
-                moves.append((ih.name, old_key, new_key,
-                              {a: new[a] for a in ih.columns if a in new}))
+                cells = new if covering else {
+                    a: new[a] for a in ih.columns if a in new}
+                moves.append((ih.name, old_key, new_key, cells))
             elif old_key is not None:
                 moves.append((ih.name, old_key, None, None))
         moves.append((table, None if old is None else key,
@@ -505,35 +513,45 @@ class TransactionManager:
     def _write(self, plan: list[tuple], result: TxnResult) -> None:
         """Steps 3 to 5 of any write, for each (stored row to mark or None,
         moves) of ``plan``: mark the stored row at each old key of its
-        moves (a replay derives the old index keys from it); put each new
-        row, marked where its row was, then delete its old key if the row
-        moved or went, in plan order; un-mark."""
+        moves (a replay derives the old index keys from it), or where no
+        key moves put the new row marked, finished but for step 5; put each
+        other new row, marked where its row was, then delete its old key if
+        the row moved or went, in plan order; un-mark."""
+        counts = [0, 0, 0]
+        slot, put = self._count_slot, self.store.put
+        staged = []
         for marked, moves in plan:
+            if marked is not None and all(o == n for _, o, n, _ in moves):
+                dirty = {**moves[-1][3], DIRTY: True}
+                for table, key, _, _ in moves:
+                    put(table, key, dirty)
+                    counts[slot[table]] += 1
+                continue
+            staged.append((marked, moves))
             if marked is not None:
+                dirty = {**marked, DIRTY: True}
                 for table, old_key, _, _ in moves:
                     if old_key is not None:
-                        self.store.put(table, old_key,
-                                       {**marked, DIRTY: True})
+                        put(table, old_key, dirty)
         self._crash(3)
-        for marked, moves in plan:
+        for marked, moves in staged:
             for table, old_key, new_key, cells in moves:
                 touched = new_key is not None
                 if touched:
-                    self.store.put(table, new_key, cells if marked is None
-                                   else {**cells, DIRTY: True})
+                    put(table, new_key, cells if marked is None
+                        else {**cells, DIRTY: True})
                 if old_key is not None and old_key != new_key:
                     touched = self.store.delete(table, old_key) or touched
                 if touched:
-                    field_name = self._count_field[table]
-                    setattr(result, field_name,
-                            getattr(result, field_name) + 1)
+                    counts[slot[table]] += 1
         self._crash(4)
         for marked, moves in plan:
             if marked is not None:
                 for table, _, new_key, cells in moves:
                     if new_key is not None:
-                        self.store.put(table, new_key, cells)
+                        put(table, new_key, cells)
         self._crash(5)
+        result.base_rows, result.view_rows, result.index_rows = counts
 
     # -- planners: each only reads, and returns its write's plan -------------
 

@@ -1,5 +1,7 @@
+import collections
 import hashlib
 import os
+import sys
 import threading
 import time
 
@@ -10,8 +12,9 @@ from synergy.errors import (DuplicateKeyError, LockTimeout, OrphanError,
                             SchemaError, UnsupportedUpdate,
                             WalCorruptionError)
 from synergy.fixtures import (company_schema, company_workload,
-                              populate_company, populate_tpcw_micro,
-                              tpcw_micro_schema, tpcw_micro_workload)
+                              mixed_statements, populate_company,
+                              populate_tpcw_micro, tpcw_micro_schema,
+                              tpcw_micro_workload)
 from synergy.schema import LOCK_COLUMN
 from synergy.sqlparse import parse_statement
 from synergy.storage import DIRTY, encode_key
@@ -173,11 +176,11 @@ PINNED_WRITES = {
         ("INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
          "VALUES (90, 90, 1, 1)", (6, "b68c43da3d70e41a")),
         ("UPDATE Customer SET C_BALANCE = 7 WHERE C_ID = 1",
-         (51, "30da41a3c059f5ee")),
+         (35, "218f1b806ae9e962")),
         ("UPDATE Order SET O_STATUS = 'x' WHERE O_ID = 1",
-         (27, "e36b395a4e1ee0dc")),
+         (19, "665e5cd9ed9bbc55")),
         ("UPDATE Order_line SET OL_QTY = 4 WHERE OL_ID = 1",
-         (12, "9f21fab8eaa301a1")),
+         (9, "783e1da6c0e1a4cc")),
         ("DELETE FROM Order_line WHERE OL_ID = 90", (6, "45880d01e7ab6a32")),
         ("DELETE FROM Order WHERE O_ID = 90", (5, "5b41d08d8e103de3")),
         ("DELETE FROM Customer WHERE C_ID = 90", (3, "263d0dd9bb24d6ad")),
@@ -191,9 +194,9 @@ PINNED_WRITES = {
         ("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (90, 1, 7)",
          (5, "bf49621be880feb3")),
         ("UPDATE Address SET Acity = 'x' WHERE AID = 1",
-         (9, "0f1faf4ab1ddb848")),
+         (7, "239e7de5c8976cbe")),
         ("UPDATE Employee SET ESalary = 5 WHERE EID = 1",
-         (6, "02376bd8a526e29a")),
+         (5, "8ccfb948e60428ed")),
         ("UPDATE Works_On SET Hours = 8 WHERE WO_EID = 90 AND WO_PNo = 1",
          (10, "bd19b8a72c46244c")),
         ("DELETE FROM Works_On WHERE WO_EID = 90 AND WO_PNo = 1",
@@ -498,6 +501,72 @@ def test_reader_sees_pre_or_post_update_values_only(db):
     stop.set()
     t.join()
     assert bad == []
+
+
+def test_view_reads_under_contention_see_whole_updates_in_order(db):
+    """Writers raise the balance of hot customers (one writer per customer,
+    so each customer's balance only rises) while readers run Q1 and Q2
+    through the views: every result carries one balance per customer, and
+    no reader sees a customer's balance go down."""
+    hot = (1, 2, 3, 4)
+    seed_rows(db, customers=len(hot), orders=3, lines=3)
+    queries = db.rewrite.statements[:2]
+    stop = threading.Event()
+    failures = []
+    reads = []
+
+    def writer(customers):
+        balance = 0
+        try:
+            while not stop.is_set():
+                balance += 1
+                for c in customers:
+                    db.execute(f"UPDATE Customer SET C_BALANCE = {balance} "
+                               f"WHERE C_ID = {c}")
+        except Exception as exc:       # noqa: BLE001 - recorded for assert
+            failures.append(exc)
+
+    def reader(first):
+        latest = dict.fromkeys(hot, 0)
+        n = first
+        try:
+            while not stop.is_set():
+                c = hot[n % len(hot)]
+                rows = db.execute(queries[n // len(hot) % 2], (c,))
+                balances = {r["C_BALANCE"] for r in rows}
+                if len(balances) != 1:
+                    failures.append(("torn", c, balances))
+                elif min(balances) < latest[c]:
+                    failures.append(("went down", c, latest[c], balances))
+                else:
+                    latest[c] = min(balances)
+                n += 1
+        except Exception as exc:       # noqa: BLE001 - recorded for assert
+            failures.append(exc)
+        reads.append(n - first)
+
+    threads = ([threading.Thread(target=writer, args=(hot[i::2],))
+                for i in range(2)]
+               + [threading.Thread(target=reader, args=(i,))
+                  for i in range(2)])
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        time.sleep(1.5)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=30)
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert min(reads) > 0
+    assert all(db.store.get("Customer", key_of(c))["C_BALANCE"] > 1
+               for c in hot)
+    report = db.verify()
+    assert report.ok, report.describe()
 
 
 # -- WAL ------------------------------------------------------------------------------------
@@ -958,15 +1027,89 @@ def test_a_row_move_deletes_only_an_index_key_that_changed(tmp_path, text,
         db.close()
 
 
+def count_puts(db) -> collections.Counter:
+    """Count each (table, key) that ``db``'s store puts from now on."""
+    puts = collections.Counter()
+    put = db.store.put
+
+    def record(table, key, cells):
+        puts[table, key] += 1
+        return put(table, key, cells)
+
+    db.store.put = record
+    return puts
+
+
 def test_customer_update_at_scale_100_moves_every_row_it_did(tmp_path):
     db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
                          data_dir=str(tmp_path / "data"))
     try:
         populate_tpcw_micro(db, scale=100, ratio=10, seed=1)
+        puts = count_puts(db)
         result = db.execute("UPDATE Customer SET C_BALANCE = 7 "
                             "WHERE C_ID = 42")
         assert (result.base_rows, result.view_rows,
                 result.index_rows) == (1, 110, 210)
+        assert sum(puts.values()) == 641
+        # no view or index key moves: each row is put marked with its new
+        # cells, then un-marked; the base row is put once
+        assert {n for (t, _), n in puts.items() if t != "Customer"} == {2}
+        assert [n for (t, _), n in puts.items() if t == "Customer"] == [1]
+        report = db.verify()
+        assert report.ok, report.describe()
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("text, expected", [
+    # no key moves: each view and index row is put marked with its new
+    # cells, then un-marked
+    ("UPDATE Employee SET ESalary = 99 WHERE EID = 5",
+     {("Employee", (5,)): 1, ("V_Address_Employee", (5,)): 2,
+      ("V_Employee_Works_On", (5, 2)): 2, (HOURS_INDEX, (30, 5, 2)): 2}),
+    # the index key moves: the row is marked at its old keys, then put
+    # marked with its new cells, then un-marked; the old index key goes
+    ("UPDATE Works_On SET Hours = 40 WHERE WO_EID = 5 AND WO_PNo = 2",
+     {("Works_On", (5, 2)): 1, ("V_Employee_Works_On", (5, 2)): 3,
+      (HOURS_INDEX, (30, 5, 2)): 1, (HOURS_INDEX, (40, 5, 2)): 2}),
+])
+def test_an_unmoved_row_is_put_twice_a_moving_one_three_times(tmp_path, text,
+                                                            expected):
+    db = company_with_hours(str(tmp_path / "d"))
+    try:
+        puts = count_puts(db)
+        db.execute(text)
+        assert puts == {(t, encode_key(k, ("int",) * len(k))): n
+                        for (t, k), n in expected.items()}
+        report = db.verify()
+        assert report.ok, report.describe()
+    finally:
+        db.close()
+
+
+def test_no_stored_dict_changes_after_its_put(tmp_path):
+    """Every dict handed to ``put`` during a population and a mixed run of
+    inserts, updates and deletes still equals its copy taken at the put;
+    a covering index row is its view row's own dict."""
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
+                         data_dir=str(tmp_path / "d"))
+    try:
+        stored = []
+        put = db.store.put
+
+        def record(table, key, cells):
+            stored.append((cells, dict(cells)))
+            return put(table, key, cells)
+
+        db.store.put = record
+        populate_tpcw_micro(db, scale=10, ratio=3)
+        for stmt in mixed_statements(10, 3, 400, 1, seed=3)[0]:
+            db.txn.execute_write(stmt)
+        assert len(stored) > 1000
+        assert [c for c, copy in stored if c != copy] == []
+        for _, cells in db.store.scan("X_V_Customer_Order_C_ID"):
+            view_key = encode_key((cells["O_ID"],), ("int",))
+            assert db.store.get("V_Customer_Order", view_key) is cells
         report = db.verify()
         assert report.ok, report.describe()
     finally:
