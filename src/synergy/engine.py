@@ -4,9 +4,9 @@ Plans are left-deep joins built in one pass.  Each round places the
 alias joined to one already placed (any alias first), then the one whose
 equality filters and joins bind the longest key prefix, then the first
 in FROM order; a join becomes an equality predicate of the alias placed
-second.  Each access step scans either the table itself or one of
-its covered indexes, by key prefix when the bound attributes allow it,
-else a full scan.  A step with no bound prefix that joins by equality to
+second.  Each access step scans the table itself or one of its covered
+indexes, whichever ``StoreCatalog.access_path`` picks for the bound
+attributes, by key prefix, else a full scan.  A step with no bound prefix that joins by equality to
 an earlier step which can yield several rows is a hash step: the first
 visit scans its table once and buckets the rows on the join attribute,
 and every later visit probes the bucket for the outer value instead of
@@ -184,25 +184,6 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
                     yield Predicate(mine.name, "=",
                                     OuterRef(other.qualifier, other.name))
 
-    def best_access(alias: str, joined: list[Predicate]):
-        """(key exprs, physical table) for the longest key prefix the
-        equality filters, then the joins, bind; the table itself wins ties
-        over its indexes."""
-        handle = handles[alias]
-        bound = {p.attr: p.expr for p in filters[alias] if p.op == "="}
-        for p in joined:
-            bound.setdefault(p.attr, p.expr)
-        best = ((), handle.name)
-        for cand in [handle] + catalog.indexes_of(handle.name):
-            exprs = []
-            for attr in cand.key_attrs:
-                if attr not in bound:
-                    break
-                exprs.append(bound[attr])
-            if len(exprs) > len(best[0]):
-                best = (tuple(exprs), cand.name)
-        return best
-
     aliases = [a for _, a in stmt.tables]
     placed: set[str] = set()
     steps: list[AccessStep] = []
@@ -211,15 +192,19 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
         for pos, alias in enumerate(aliases):
             if alias not in placed:
                 joined = list(joins_to(alias, placed))
-                key_exprs, scan_table = best_access(alias, joined)
+                # an equality filter binds its attribute before a join does
+                bound = {p.attr: p.expr for p in filters[alias] if p.op == "="}
+                for p in joined:
+                    bound.setdefault(p.attr, p.expr)
+                scan, n = catalog.access_path(handles[alias].name, bound)
                 candidates.append(
-                    ((bool(placed) and not joined, -len(key_exprs), pos),
-                     alias, joined, key_exprs, scan_table))
-        _, alias, joined, key_exprs, scan_table = min(candidates)
+                    ((bool(placed) and not joined, -n, pos), alias, joined,
+                     tuple(bound[a] for a in scan.key_attrs[:n]), scan))
+        _, alias, joined, key_exprs, scan = min(candidates)
         # drop only the exact predicate the key prefix consumed; a second,
         # contradictory filter or join on the same attribute must keep
         # filtering
-        consumed = dict(zip(catalog.handle(scan_table).key_attrs, key_exprs))
+        consumed = dict(zip(scan.key_attrs, key_exprs))
         residual = [p for p in filters[alias] + joined
                     if not (p.op == "=" and consumed.get(p.attr) == p.expr)]
         # hash an unbound step only when an earlier step can yield several
@@ -233,9 +218,9 @@ def plan_query(stmt: SelectJoin, catalog: StoreCatalog) -> QueryPlan:
             if probe is not None:
                 residual.remove(probe)
         steps.append(AccessStep(
-            alias=alias, table=handles[alias].name, scan_table=scan_table,
+            alias=alias, table=handles[alias].name, scan_table=scan.name,
             key_exprs=key_exprs, residual=tuple(residual),
-            check_dirty=catalog.handle(scan_table).kind in (VIEW, INDEX),
+            check_dirty=scan.kind in (VIEW, INDEX),
             probe=probe))
         placed.add(alias)
     return QueryPlan(tuple(steps), projections,

@@ -8,6 +8,9 @@ writes, an update to every view holding its relation.  Every statement
 here has passed ``schema.check_write``: it pins its relation's key and
 assigns no key or foreign-key attribute.  Inserts construct the view tuple
 by walking the foreign keys upward, one read per ancestor relation.
+Updates find their view rows the way reads find rows, by the table or
+covered index ``StoreCatalog.access_path`` picks for the pinned key, in
+one scan, and plan each row from the cells it scanned.
 """
 
 from __future__ import annotations
@@ -52,16 +55,13 @@ def build_insert_view_tuple(view: ViewDef, insert: Insert, reader,
         collected.append(parent)
     cells: dict = {}
     for row in reversed(collected):
-        for attr, value in row.items():
-            if attr != DIRTY:
-                cells[attr] = value
+        cells.update(row)
     return key_of(catalog.handle(view.name), values), cells
 
 
 @dataclass
 class UpdatePlan:
     """``plan_update_rows``' result; benchmark tracing counts its rows."""
-    view: str
     #: (view key, stored row, replacement cells) per view row touched
     rows: list[tuple[bytes, dict, dict]] = field(default_factory=list)
 
@@ -71,42 +71,30 @@ def plan_update_rows(view: ViewDef, update: Update, reader,
     """Locate the view rows touched by a base-table update and compute
     their replacement cells.
 
-    Rows are found via the view key when the updated relation is last,
-    else via a view-index keyed on the relation's primary key, else by a
-    full view scan.
+    One scan of the table ``catalog.access_path`` picks for the pinned
+    key finds them, each planned from the cells scanned: every view index
+    covers its view, so an unmarked index row holds its view row's cells.
+    A marked one turns up only in a replay, which must derive the old
+    index keys from the view row, so that row is read again.
     """
     rel = catalog.schema.relation(update.relation)
-    key_vals = key_values_from_filters(update, rel.primary_key)
+    pinned = dict(zip(rel.primary_key,
+                      key_values_from_filters(update, rel.primary_key)))
     view_handle = catalog.handle(view.name)
-    assignments = dict(update.assignments)
-
-    located: list[tuple[bytes, dict]] = []
-    if update.relation == view.last:
-        vkey = key_encoder(view_handle.key_types)(key_vals)
-        row = reader.get(view.name, vkey)
-        if row is not None:
-            located.append((vkey, row))
-    else:
-        lookup = next(
-            (ih for ih in catalog.indexes_of(view.name)
-             if catalog.index_defs[ih.name].indexed_on == rel.primary_key),
-            None)
-        if lookup is not None:
-            start, end = prefix_range(key_vals, lookup)
-            for _, icells in reader.scan(lookup.name, start, end):
-                vkey = key_of(view_handle, icells)
-                row = reader.get(view.name, vkey)
-                if row is not None:
-                    located.append((vkey, row))
-        else:
-            pk_pairs = list(zip(rel.primary_key, key_vals))
-            for vkey, row in reader.scan(view.name):
-                if all(row.get(a) == v for a, v in pk_pairs):
-                    located.append((vkey, row))
-
-    plan = UpdatePlan(view.name)
-    for vkey, old in located:
+    handle, n = catalog.access_path(view.name, pinned)
+    start, end = (prefix_range([pinned[a] for a in handle.key_attrs[:n]],
+                               handle) if n else (None, None))
+    plan = UpdatePlan()
+    for key, old in reader.scan(handle.name, start, end):
+        # a prefix binding every pinned attribute finds only rows holding it
+        if n < len(pinned) and any(
+                old.get(a) != v for a, v in pinned.items()):
+            continue
+        if handle is not view_handle:
+            key = key_of(view_handle, old)
+            if DIRTY in old:
+                old = reader.get(view.name, key)
         new = {a: v for a, v in old.items() if a != DIRTY}
-        new.update(assignments)
-        plan.rows.append((vkey, old, new))
+        new.update(update.assignments)
+        plan.rows.append((key, old, new))
     return plan

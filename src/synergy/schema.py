@@ -9,7 +9,9 @@ one table per relation keyed by its primary key, one per view keyed by its
 last relation's key, one per index keyed by the indexed attributes followed
 by the base table's key, and one lock table per root.  ``StoreCatalog.add``
 builds every handle, typing its key and columns from the relations behind
-the table.  ``baseline_transform`` admits the runnable workload.  The
+the table.  ``StoreCatalog.access_path`` is the one rule for which table,
+or covered index, serves a lookup by attribute values, for reads and
+updates alike.  ``baseline_transform`` admits the runnable workload.  The
 attribute name ``DIRTY`` is the store's mark and reserved.
 
 ``check_write`` is the one rule for whether a write can run; the baseline
@@ -273,6 +275,22 @@ class StoreCatalog:
 
     def indexes_of(self, base: str) -> list[TableHandle]:
         return list(self._indexes_of.get(base, ()))
+
+    def access_path(self, name: str, bound) -> tuple[TableHandle, int]:
+        """The table ``name``, or one of its covered indexes, whose key has
+        the longest leading run of attributes in ``bound``, and that run's
+        length (0: scan the table); the table wins a tie.  Reads and
+        updates both find rows by attribute values with it."""
+        best, n = self.handle(name), 0
+        for cand in [best] + self.indexes_of(name):
+            run = 0
+            for attr in cand.key_attrs:
+                if attr not in bound:
+                    break
+                run += 1
+            if run > n:
+                best, n = cand, run
+        return best, n
 
     def all_handles(self) -> list[TableHandle]:
         return list(self.tables.values())

@@ -47,13 +47,14 @@ Either way it gets its commit record.  Replay is idempotent at any crash
 point because of the write order: a row is written after its index rows,
 so until the row itself changes, a replay reads the old row and derives
 the old index keys from it again; a delete keeps the base row until its
-view rows are gone, so a replay still finds it.  An insert's replay
-accepts a row at its key that holds the insert's own values.  An update's
-replay finds its base row already written once that row carries every
-value it assigns; a filter on an assigned attribute then tested the old
-value and holds.  That write order keeps a moving row's replay idempotent;
-a row written twice holds its new cells, marked, at its keys after step 3,
-from which a replay plans the same cells and keys again.
+view rows are gone, so a replay still finds it (one finding it gone is
+done: it takes no lock).  An insert's replay accepts a row at its key
+that holds the insert's own values.  An update's replay finds its base
+row already written once that row carries every value it assigns; a
+filter on an assigned attribute then tested the old value and holds.
+That write order keeps a moving row's replay idempotent; a row written
+twice holds its new cells, marked, at its keys after step 3, from which
+a replay plans the same cells and keys again.
 """
 
 from __future__ import annotations
@@ -360,10 +361,12 @@ class TransactionManager:
         return key_encoder(handle.key_types)(
             key_values_from_filters(stmt, rel.primary_key))
 
-    def resolve_root(self, stmt) -> tuple[str, bytes] | None:
+    def resolve_root(self, stmt,
+                     replay: bool = False) -> tuple[str, bytes] | None:
         """Root relation and encoded root key covering this write, or None
-        when the relation is in no rooted tree or an insert's ancestor
-        chain is broken (then no view row can exist either); a delete or
+        when the relation is in no rooted tree, an insert's ancestor chain
+        is broken (then no view row can exist either) or, in a ``replay``,
+        a delete's row is gone (its crashed pass finished it); a delete or
         update with a broken chain raises OrphanError.  The walk reads every
         ancestor below the root, never the root row."""
         chain = self._chain.get(stmt.relation)
@@ -374,6 +377,8 @@ class TransactionManager:
             return root, self._row_key(stmt)
         row = (stmt.value_map if isinstance(stmt, Insert)
                else self.store.get(stmt.relation, self._row_key(stmt)))
+        if row is None and replay and isinstance(stmt, Delete):
+            return None
         for edge in reversed(edges):
             key = None if row is None else parent_key(edge, row, self.catalog)
             if key is None or edge is edges[0]:
@@ -432,7 +437,7 @@ class TransactionManager:
         hooks fire: step 1 once the lock is taken, step 2 once the write
         is planned, steps 3 to 5 in ``_write``, step 6 once the lock is let
         go (``replay``: an insert or update accepts the base row its
-        crashed pass wrote)."""
+        crashed pass wrote, a delete the row it deleted)."""
         if isinstance(stmt, Insert):
             kind, planner = "insert", self._insert
         elif isinstance(stmt, Delete):
@@ -440,9 +445,9 @@ class TransactionManager:
         else:
             kind, planner = "update", self._update
         result = TxnResult(txn_id, kind, stmt.relation)
-        target = self.resolve_root(stmt)
+        target = self.resolve_root(stmt, replay)
         if target is None:
-            # in a tree yet unresolved: an insert with a broken chain
+            # in a tree yet unresolved: an insert's broken chain, or done
             result.orphan = stmt.relation in self._chain
         else:
             self.locks.acquire(*target)

@@ -228,6 +228,7 @@ def test_update_plan_uses_maintenance_index_without_scanning(orders_db):
     plan = plan_update_rows(view, update, reader, db.catalog)
     assert sorted(new["OL_ID"] for _, _, new in plan.rows) == [21, 22]
     assert reader.scans == 1          # one index prefix scan, no view scan
+    assert reader.gets == 0           # planned from the index rows scanned
 
 
 def test_replay_equivalence_random_mutations(orders_db):

@@ -680,11 +680,10 @@ def test_crash_at_each_update_step_then_recover(db, kind, step):
     replacement = manager_like(db)
     report = replacement.recover()
     # a delete crashed once its base row went has nothing left to find:
-    # its replay is aborted, and the store shows the delete done
+    # its replay does nothing, and the store shows the delete done
     logged = report.replayed + [a[:2] for a in report.aborted]
     assert [t.split()[0] for _, t in logged] == [kind.upper()]
-    if kind != "delete":
-        assert len(report.replayed) == 1
+    assert len(report.replayed) == 1
     assert not replacement.locks.held("Customer", key_of(1))
 
     verify = db.verify()
@@ -698,9 +697,9 @@ def test_crash_at_each_update_step_then_recover(db, kind, step):
 
 
 def test_a_delete_that_dies_after_its_base_row_strands_no_lock(tmp_path):
-    """Recovery cannot replay a delete whose base row is already gone (its
-    root no longer resolves), so it aborts it; the crashed write's lock is
-    freed all the same, at this open and every later one."""
+    """Recovery replays a delete whose base row is already gone as done
+    (it has nothing left to do and takes no lock); the crashed write's
+    lock is freed all the same, at this open and every later one."""
     db = Database.create(tpcw_micro_schema(), tpcw_micro_workload(),
                          data_dir=str(tmp_path / "live"), lock_timeout=0.3)
     seed_rows(db, customers=1, orders=1, lines=0)
@@ -722,7 +721,8 @@ def test_a_delete_that_dies_after_its_base_row_strands_no_lock(tmp_path):
     for saved, then in (("first", "second"), ("second", None)):
         reopened = Database.open(str(tmp_path / saved), lock_timeout=0.3)
         try:
-            assert len(reopened.recovery.aborted) == (saved == "first")
+            assert len(reopened.recovery.replayed) == (saved == "first")
+            assert reopened.recovery.aborted == []
             report = reopened.verify()
             assert report.locks_held == 0
             assert report.ok, report.describe()
@@ -751,7 +751,7 @@ def test_recover_skips_committed_transactions(db):
 def test_recover_resolves_failed_statement_as_aborted(db):
     # a begin record whose statement cannot re-execute cleanly: orphan
     db.wal.append(500, PHASE_BEGIN,
-                  "DELETE FROM Order_line WHERE OL_ID = 31337")
+                  "UPDATE Order_line SET OL_QTY = 2 WHERE OL_ID = 31337")
     report = manager_like(db).recover()
     assert len(report.aborted) == 1
     assert pending_transactions(read_wal(db.wal.path)) == []
@@ -794,32 +794,55 @@ def test_recovery_aborts_a_logged_statement_admission_refuses(db, tmp_path):
         reopened.close()
 
 
-def company_with_hours(data_dir):
-    db = Database.create(company_schema(), company_workload(),
+def company_with_hours(data_dir, workload=None, projects=1):
+    """Employee 5 working ``projects`` projects, from project 2 on."""
+    db = Database.create(company_schema(), workload or company_workload(),
                          data_dir=data_dir)
     db.execute("INSERT INTO Address (AID, Astreet, Acity) "
                "VALUES (1, 'a', 'c')")
     db.execute("INSERT INTO Department (DNo, DName) VALUES (1, 'd')")
     db.execute("INSERT INTO Employee (EID, EName, ESalary, EHome_AID, "
                "EOffice_AID, E_DNo) VALUES (5, 'e', 10, 1, 1, 1)")
-    db.execute("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) "
-               "VALUES (5, 2, 30)")
+    for pno in range(2, 2 + projects):
+        db.execute(f"INSERT INTO Works_On (WO_EID, WO_PNo, Hours) "
+                   f"VALUES (5, {pno}, {10 * pno + 10})")
     return db
 
 
-@pytest.mark.parametrize("text, row", [
+#: two reads of V_Employee_Works_On, which give it a covered index on EID
+#: and one on ESalary, and the update they maintain
+SALARY_READS = (
+    "SELECT * FROM Employee as e, Works_On as wo "
+    "WHERE e.EID = wo.WO_EID and e.EID = ?",
+    "SELECT * FROM Employee as e, Works_On as wo "
+    "WHERE e.EID = wo.WO_EID and e.ESalary = ?",
+    "UPDATE Employee SET ESalary = ? WHERE EID = ?",
+)
+
+
+def company_with_salary_reads(data_dir):
+    """An ESalary update here finds its 3 view rows through the EID index
+    and moves their ESalary index rows, so a replay meets marked rows in
+    the index it scans."""
+    workload = [parse_statement(text) for text in SALARY_READS]
+    return company_with_hours(data_dir, workload, projects=3)
+
+
+@pytest.mark.parametrize("text, row, build", [
     ("UPDATE Works_On SET Hours = 40 WHERE WO_EID = 5 AND WO_PNo = 2",
-     ("Works_On", (5, 2), "Hours", 40)),
+     ("Works_On", (5, 2), "Hours", 40), company_with_hours),
     ("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (5, 3, 50)",
-     ("Works_On", (5, 3), "Hours", 50)),
+     ("Works_On", (5, 3), "Hours", 50), company_with_hours),
     ("DELETE FROM Works_On WHERE WO_EID = 5 AND WO_PNo = 2",
-     ("Works_On", (5, 2), None, None)),
+     ("Works_On", (5, 2), None, None), company_with_hours),
     ("UPDATE Employee SET ESalary = 99 WHERE EID = 5",
-     ("Employee", (5,), "ESalary", 99)),
+     ("Employee", (5,), "ESalary", 99), company_with_hours),
     ("UPDATE Employee SET ESalary = 99 WHERE EID = 5 AND ESalary = 10",
-     ("Employee", (5,), "ESalary", 99)),
+     ("Employee", (5,), "ESalary", 99), company_with_hours),
+    ("UPDATE Employee SET ESalary = 99 WHERE EID = 5",
+     ("Employee", (5,), "ESalary", 99), company_with_salary_reads),
 ])
-def test_crash_at_every_store_write_then_reopen(tmp_path, text, row):
+def test_crash_at_every_store_write_then_reopen(tmp_path, text, row, build):
     """A crash in place of the n-th store put or delete of a write, for
     every n until the write completes, leaves a checkpoint that open and
     replay bring to the written value with every view and index exact."""
@@ -827,7 +850,7 @@ def test_crash_at_every_store_write_then_reopen(tmp_path, text, row):
     n = 0
     completed = False
     while not completed:
-        db = company_with_hours(str(tmp_path / f"live{n}"))
+        db = build(str(tmp_path / f"live{n}"))
         writes = []
 
         def crash_at_n(write):
@@ -860,6 +883,27 @@ def test_crash_at_every_store_write_then_reopen(tmp_path, text, row):
         finally:
             reopened.close()
         n += 1
+
+
+@pytest.mark.parametrize("schema, workload", [
+    (tpcw_micro_schema(), tpcw_micro_workload()),
+    (company_schema(), company_workload()),
+    (company_schema(), [parse_statement(text) for text in SALARY_READS]),
+], ids=["tpcw-micro", "company", "salary-reads"])
+def test_every_view_index_covers_its_view(schema, workload):
+    """An update plans a view row from the unmarked index row it scans,
+    which holds the view row's cells only because the index covers every
+    column of its view."""
+    db = Database.create(schema, workload)
+    try:
+        covered = [(ih, db.catalog.handle(view.name))
+                   for view in db.views
+                   for ih in db.catalog.indexes_of(view.name)]
+        assert covered
+        for ih, view in covered:
+            assert set(ih.columns) >= set(view.columns), ih.name
+    finally:
+        db.close()
 
 
 def test_replayed_update_keeps_its_other_filters(tmp_path):
