@@ -6,18 +6,20 @@ equality filters and joins bind the longest key prefix, then the first
 in FROM order; a join becomes an equality predicate of the alias placed
 second.  Each access step scans the table itself or one of its covered
 indexes, whichever ``StoreCatalog.access_path`` picks for the bound
-attributes, by key prefix, else a full scan.  A step with no bound prefix that joins by equality to
-an earlier step which can yield several rows is a hash step: the first
-visit scans its table once and buckets the rows on the join attribute,
-and every later visit probes the bucket for the outer value instead of
-re-scanning.  The buckets live for one execution attempt only; rows come
-out in the same order as the nested loop would give them.  Rows surfaced
+attributes, by key prefix, else a full scan.  A step with no bound prefix
+that joins by equality to an earlier step which can yield several rows is
+a hash step.  A plan runs one step at a time, mapping the list of outer
+rows to the next list.  A hash step first collects the join value of
+every outer row into a set, then scans its table once and keeps only the
+rows some outer row's join value reaches (a semi-join), bucketed on it in
+key order; each outer row takes its bucket.  Rows come out in the same
+order as the nested loop would give them.  Rows surfaced
 from a view or view-index carrying the dirty mark abort the statement,
 which restarts from scratch, re-scanning for at most the engine's
 ``timeout`` (the database's lock timeout: a mark lives only while its
 writer holds the root lock) before ``DirtyReadTimeout``; returned rows
 never expose the mark.  A hash step checks the mark on the rows a probe
-returns, not on every row of its build, so a marked row no outer row
+returns, not on every row of its scan, so a marked row no outer row
 reaches costs nothing.
 
 A ``QueryEngine`` plans each distinct statement once and keeps the plan
@@ -231,22 +233,12 @@ class _DirtyRow(Exception):
     pass
 
 
-def _hash_rows(step: AccessStep, store: Store) -> dict:
-    """One full scan of the step's table bucketed on its probe attribute,
-    each bucket in key order; the probe loop checks the dirty mark of the
-    rows it takes out."""
-    attr = step.probe.attr
-    buckets: dict = {}
-    for key, cells in store.scan(step.scan_table):
-        buckets.setdefault(cells.get(attr), []).append((key, cells))
-    return buckets
-
-
 def execute_plan(plan: QueryPlan, params, store: Store,
                  catalog: StoreCatalog) -> list[dict]:
-    """Single execution attempt; raises _DirtyRow on a marked row."""
+    """Single execution attempt; raises _DirtyRow on a marked row.  Each
+    step maps the outer environments (alias -> row) to the next ones; the
+    last step emits."""
     steps = plan.steps
-    hashed: dict[int, dict] = {}     # depth -> buckets of a hash step
 
     def evaluate(expr, env):
         if isinstance(expr, Const):
@@ -256,57 +248,59 @@ def execute_plan(plan: QueryPlan, params, store: Store,
         return env[expr.alias][expr.attr]
 
     results: list[dict] = []
-
-    def emit(env):
-        if plan.projections is not None:
-            results.append({r.name: env[r.qualifier][r.name]
-                            for r in plan.projections})
-        else:
-            out = {}
-            for step in steps:
-                out.update(env[step.alias])
-            out.pop(DIRTY, None)
-            results.append(out)
-
-    def run(depth, env):
-        step = steps[depth]
+    envs = [{}]
+    for step in steps:
+        if not envs:        # no outer row: no later step scans, hashed or not
+            break
+        alias, table = step.alias, step.scan_table
+        check_dirty, last = step.check_dirty, step is steps[-1]
         if step.probe is not None:
-            buckets = hashed.get(depth)
-            if buckets is None:
-                buckets = hashed[depth] = _hash_rows(step, store)
-            rows = buckets.get(evaluate(step.probe.expr, env), ())
-        elif step.key_exprs:
-            values = tuple(evaluate(e, env) for e in step.key_exprs)
-            start, end = prefix_range(values,
-                                      catalog.handle(step.scan_table))
-            rows = store.scan(step.scan_table, start, end)
-        else:
-            rows = store.scan(step.scan_table)
-        # outer references are fixed for the whole scan: evaluate them once
-        checks = [(p.attr, p.op, evaluate(p.expr, env))
-                  for p in step.residual]
-        check_dirty = step.check_dirty
-        alias = step.alias
-        last = depth == len(steps) - 1
-        for _, cells in rows:
-            if check_dirty and cells.get(DIRTY):
-                raise _DirtyRow()
-            for attr, op, other in checks:
-                value = cells.get(attr)
-                if op == "=":
-                    if value != other:
-                        break
-                elif value is None or not COMPARE[op](value, other):
-                    break
+            # semi-join: one scan keeps the rows some outer value reaches,
+            # bucketed on that value in key order
+            on = step.probe.attr
+            wanted = {evaluate(step.probe.expr, env) for env in envs}
+            buckets: dict = {}
+            for key, cells in store.scan(table):
+                value = cells.get(on)
+                if value in wanted:
+                    buckets.setdefault(value, []).append((key, cells))
+        outer, envs = envs, []
+        for env in outer:
+            if step.probe is not None:
+                rows = buckets.get(evaluate(step.probe.expr, env), ())
+            elif step.key_exprs:
+                values = tuple(evaluate(e, env) for e in step.key_exprs)
+                rows = store.scan(table, *prefix_range(
+                    values, catalog.handle(table)))
             else:
-                env[alias] = cells
-                if last:
-                    emit(env)
+                rows = store.scan(table)
+            # outer references are fixed for the whole scan: evaluate once
+            checks = [(p.attr, p.op, evaluate(p.expr, env))
+                      for p in step.residual]
+            for _, cells in rows:
+                if check_dirty and cells.get(DIRTY):
+                    raise _DirtyRow()
+                for attr, op, other in checks:
+                    value = cells.get(attr)
+                    if op == "=":
+                        if value != other:
+                            break
+                    elif value is None or not COMPARE[op](value, other):
+                        break
                 else:
-                    run(depth + 1, env)
-        env.pop(alias, None)
-
-    run(0, {})
+                    if not last:
+                        envs.append({**env, alias: cells})
+                        continue
+                    env[alias] = cells
+                    if plan.projections is not None:
+                        results.append({r.name: env[r.qualifier][r.name]
+                                        for r in plan.projections})
+                    else:
+                        out = {}
+                        for s in steps:
+                            out.update(env[s.alias])
+                        out.pop(DIRTY, None)
+                        results.append(out)
     return results
 
 

@@ -43,7 +43,7 @@ import functools
 import struct
 import threading
 from itertools import accumulate, compress, repeat
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from sortedcontainers import SortedDict
 
@@ -225,22 +225,21 @@ class Store:
             return True
 
     def scan(self, table: str, start: bytes | None = None,
-             end: bytes | None = None) -> Iterator[tuple[bytes, dict]]:
-        """Stream committed rows in key order over [start, end).
-
-        The (key, row) pairs are snapshotted atomically per table, so one
-        scan never interleaves with a concurrent multi-row write; there is
-        still no snapshot across scans.
-        """
+             end: bytes | None = None) -> list[tuple[bytes, dict]]:
+        """Committed (key, row) pairs in key order over [start, end), as a
+        list taken under the table lock when called: one scan never
+        interleaves with a concurrent write, nor sees one made after it
+        returns; there is still no snapshot across scans.  Callers iterate
+        the result once, so a wrapper may hand back an iterator."""
         t = self._table(table)
+        rows = t.rows
         with t.lock:
-            if start is None and end is None:
-                snapshot = list(t.rows.items())
-            else:
-                rows = t.rows
-                snapshot = [(k, rows[k]) for k in
-                            t.rows.irange(start, end, inclusive=(True, False))]
-        yield from snapshot
+            if start is not None and end == start + b"\x00":
+                cells = rows.get(start)     # the range holds only ``start``
+                return [] if cells is None else [(start, cells)]
+            keys = list(rows if start is None and end is None else
+                        rows.irange(start, end, inclusive=(True, False)))
+            return list(zip(keys, map(rows.__getitem__, keys)))
 
     def count(self, table: str) -> int:
         return len(self._table(table).rows)

@@ -17,7 +17,7 @@ from synergy.fixtures import (company_schema, company_workload,
 from synergy.sqlparse import (AttrRef, JoinCondition, SelectJoin,
                                count_placeholders, parse_statement,
                                render_statement)
-from synergy.storage import DIRTY, encode_key, key_of
+from synergy.storage import DIRTY, Store, encode_key, key_of
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +426,88 @@ def test_marked_row_in_a_hashed_view_step_forces_rescan():
             db.execute(stmt)
     finally:
         db.close()
+
+
+class ScanLog:
+    """Wraps a store, logging the table of each scan; each scan hands back
+    a one-shot iterator."""
+
+    def __init__(self, store):
+        self.store = store
+        self.tables = []
+
+    def scan(self, table, *args):
+        self.tables.append(table)
+        return iter(self.store.scan(table, *args))
+
+
+#: statement -> (the aliases its plan hashes, the tables it scans), over
+#: SEMI_JOIN_ROWS
+SEMI_JOINS = {
+    # the outer orders share customer values: each bucket is probed twice
+    "SELECT o.O_ID, p.O_TOTAL FROM Order as o, Order as p "
+    "WHERE o.O_C_ID = p.O_C_ID": (["p"], ["Order", "Order"]),
+    # order 13 has no lines: its probe matches nothing
+    "SELECT o.O_ID, ol.OL_ID FROM Order as o, Order_line as ol "
+    "WHERE o.O_ID = ol.OL_O_ID": (["ol"], ["Order", "Order_line"]),
+    # o is hashed under several customers and yields several rows to ol;
+    # customer 3 has no orders
+    "SELECT c.C_UNAME, o.O_ID, ol.OL_ID FROM Customer as c, Order as o, "
+    "Order_line as ol WHERE c.C_ID = o.O_C_ID and o.O_ID = ol.OL_O_ID":
+        (["o", "ol"], ["Customer", "Order", "Order_line"]),
+    # no outer row: the hash step scans nothing
+    "SELECT o.O_ID, ol.OL_ID FROM Order as o, Order_line as ol "
+    "WHERE o.O_ID = ol.OL_O_ID and o.O_C_ID = 9": (["ol"], ["Order"]),
+}
+
+SEMI_JOIN_ROWS = [
+    "INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) VALUES (1, 'ann', 0)",
+    "INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) VALUES (2, 'bob', 0)",
+    "INSERT INTO Customer (C_ID, C_UNAME, C_BALANCE) VALUES (3, 'cy', 0)",
+] + [f"INSERT INTO Order (O_ID, O_C_ID, O_STATUS, O_TOTAL) "
+     f"VALUES ({order}, {customer}, 's', 5)"
+     for order, customer in ((10, 1), (11, 2), (12, 1), (13, 2))
+] + [f"INSERT INTO Order_line (OL_ID, OL_O_ID, OL_I_ID, OL_QTY) "
+     f"VALUES ({line}, {order}, 1, 1)"
+     for line, order in ((100, 12), (101, 10), (102, 11), (103, 12),
+                         (104, 10))]
+
+
+def test_a_hash_step_keeps_only_rows_an_outer_value_reaches():
+    db = Database.create(tpcw_micro_schema(), tpcw_micro_workload())
+    try:
+        for text in SEMI_JOIN_ROWS:
+            db.execute(text)
+        for text, (hashed, scanned) in SEMI_JOINS.items():
+            plan = db.engine.plan(parse_statement(text))
+            assert [s.alias for s in plan.steps
+                    if s.probe is not None] == hashed, plan.describe()
+            log = ScanLog(db.store)
+            got = engine.execute_plan(plan, (), log, db.catalog)
+            assert got == db.engine.execute_plan(nested_loop(plan))
+            assert bool(got) == (len(scanned) == len(plan.steps))
+            # one scan of each hashed table, not one per outer row
+            assert log.tables == scanned, plan.describe()
+        rows = db.execute(parse_statement(list(SEMI_JOINS)[2]))
+        assert [(r["C_UNAME"], r["O_ID"], r["OL_ID"]) for r in rows] == [
+            ("ann", 10, 101), ("ann", 10, 104), ("ann", 12, 100),
+            ("ann", 12, 103), ("bob", 11, 102)]
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("fixture", ["company", "tpcw-micro"])
+def test_reads_take_each_scan_in_one_pass(fixture, company_db, tpcw_db,
+                                          monkeypatch):
+    db = company_db if fixture == "company" else tpcw_db
+    params = [(p,) for p in (1, 2, 3, 5, 40)]
+    want = {(stmt, p): db.execute(stmt, p * count_placeholders(stmt))
+            for stmt in reads(db, fixture) for p in params}
+    real = Store.scan
+    monkeypatch.setattr(Store, "scan",
+                        lambda *args, **kwargs: iter(real(*args, **kwargs)))
+    for (stmt, p), rows in want.items():
+        assert db.execute(stmt, p * count_placeholders(stmt)) == rows
 
 
 # -- plan cache ------------------------------------------------------------------

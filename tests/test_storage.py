@@ -7,6 +7,7 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sortedcontainers import SortedDict, SortedList
 
 from synergy.errors import (SchemaError, SnapshotCorruptionError,
                             UnknownTableError)
@@ -204,6 +205,69 @@ def test_prefix_range_matches_only_extensions():
     start, end = prefix_range(("C42", 2), handle)
     got = [c["v"] for _, c in store.scan("T", start, end)]
     assert got == [2]
+
+
+@pytest.fixture()
+def irange_calls(monkeypatch):
+    """Every (start, end) a table made after this fixture is range-iterated
+    over (a SortedDict binds its key list's ``irange`` when built)."""
+    calls = []
+    real = SortedList.irange
+
+    def counting(self, minimum=None, maximum=None, *args, **kwargs):
+        calls.append((minimum, maximum))
+        return real(self, minimum, maximum, *args, **kwargs)
+
+    monkeypatch.setattr(SortedList, "irange", counting)
+    return calls
+
+
+def test_an_exact_key_range_is_one_lookup(irange_calls):
+    store, handle = make_store(("int", "int"))
+    for key in ((1, 1), (1, 2), (1, 4), (2, 0)):
+        store.put("T", encode_key(key, handle.key_types), {"v": key})
+    rows = SortedDict(store.scan("T"))
+    # a present key, then an absent one whose neighbours are present
+    for key in ((1, 2), (1, 3)):
+        start, end = prefix_range(key, handle)
+        assert end == start + b"\x00"
+        want = [(k_, rows[k_]) for k_ in
+                rows.irange(start, end, inclusive=(True, False))]
+        irange_calls.clear()
+        assert store.scan("T", start, end) == want
+        assert irange_calls == []
+    assert [c["v"] for _, c in store.scan("T", *prefix_range(
+        (1, 2), handle))] == [(1, 2)]
+
+
+def test_every_other_range_goes_through_irange(irange_calls):
+    store, handle = make_store(("int", "int"))
+    for key in ((1, 1), (1, 2), (1, 4), (2, 0)):
+        store.put("T", encode_key(key, handle.key_types), {"v": key})
+    exact = encode_key((1, 2), handle.key_types)
+    ranges = [prefix_range((1,), handle), (exact, exact + b"\x00\x00"),
+              (exact, exact + b"\x01"), (None, exact + b"\x00"),
+              (exact, None)]
+    for start, end in ranges:
+        irange_calls.clear()
+        store.scan("T", start, end)
+        assert irange_calls == [(start, end)]
+    irange_calls.clear()
+    assert [c["v"] for _, c in store.scan("T")] == [
+        (1, 1), (1, 2), (1, 4), (2, 0)]
+    assert irange_calls == []       # a full scan copies the table in order
+
+
+def test_a_scan_is_a_snapshot_taken_when_called():
+    store, _ = make_store()
+    store.put("T", k(1), {"v": 1})
+    store.put("T", k(3), {"v": 3})
+    full, ranged = store.scan("T"), store.scan("T", k(1), k(9))
+    store.put("T", k(2), {"v": 2})
+    store.put("T", k(3), {"v": 33})
+    store.delete("T", k(1))
+    for rows in (full, ranged):
+        assert [c["v"] for _, c in rows] == [1, 3]
 
 
 def test_check_and_put_basics():
