@@ -10,15 +10,16 @@ the engine and writes through the transaction manager.
 ``save`` is a quiescent checkpoint: behind the transaction manager's gate
 (no write begins; it waits, with no poll, until no write is in flight) it
 writes ``schema.json``, ``pipeline.json`` (the planner's inputs: roots
-and baseline workload), ``snapshot.bin`` and ``wal.bin``, each under a
-temporary name renamed into place once all are written, ``wal.bin`` last.
+and baseline workload), ``snapshot.bin`` (the base, view and lock tables;
+no index) and ``wal.bin``, each under a temporary name renamed into place
+once all are written, ``wal.bin`` last.
 The saved log is compacted: the begins still pending, in id order, then a
 commit of the highest id logged unless that id is pending.  Saved into the
 live log's directory, it replaces the live log, so an ``open`` reads only
 the writes since the last checkpoint.  ``open`` plans again from those
 inputs, reads the log once (cutting a torn final record), loads the
-snapshot, replays the pending begins, and continues ids from the log's
-high water.
+snapshot, rebuilds every index from its table, replays the pending
+begins, and continues ids from the log's high water.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from . import oracle
 from .engine import QueryEngine
 from .errors import MissingCheckpointError
-from .schema import (BASE, INDEX, LOCK, LOCK_COLUMN, VIEW, SchemaDef,
+from .schema import (BASE, LOCK, LOCK_COLUMN, VIEW, SchemaDef,
                      baseline_transform, build_catalog, build_schema_graph,
                      load_schema, save_schema)
 from .sqlparse import (SelectJoin, Statement, WriteStatement, bind_params,
@@ -190,10 +191,10 @@ class Database:
         report = VerifyReport()
         base_rows = {name: [cells for _, cells in self.store.scan(name)]
                      for name in self.schema.relations}
-        expected_view: dict[str, list[dict]] = {}
+        # every table's expected rows; an index holds its base's rows
+        source = dict(base_rows)
         for view in self.views:
-            expected_view[view.name] = oracle.expected_view_rows(
-                view, base_rows)
+            source[view.name] = oracle.expected_view_rows(view, base_rows)
 
         for handle in self.catalog.all_handles():
             if handle.kind == BASE:
@@ -203,15 +204,8 @@ class Database:
                     if cells.get(LOCK_COLUMN):
                         report.locks_held += 1
                 continue
-            if handle.kind == VIEW:
-                rows = expected_view[handle.name]
-            elif handle.kind == INDEX:
-                idx = self.catalog.index_defs[handle.name]
-                source = (expected_view[idx.base]
-                          if idx.base in expected_view
-                          else base_rows[idx.base])
-                rows = [{a: r[a] for a in handle.columns if a in r}
-                        for r in source]
+            rows = source[handle.name if handle.kind == VIEW
+                          else self.catalog.index_defs[handle.name].base]
             expected = {}
             for row in rows:
                 key = key_of(handle, row)
@@ -298,10 +292,11 @@ class Database:
     def open(cls, data_dir: str, fsync: bool = False,
              lock_timeout: float = 10.0) -> "Database":
         """Plan again from the saved schema, roots and workload, read the
-        log, load the snapshot, and replay unfinished transactions; ids
-        continue from the log's high water.  A directory missing a checkpoint file (never
-        created, created and not yet saved, or its first save cut between
-        two renames) raises MissingCheckpointError."""
+        log, load the snapshot, rebuild every index from its table, and
+        replay unfinished transactions; ids continue from the log's high
+        water.  A directory missing a checkpoint file (never created,
+        created and not yet saved, or its first save cut between two
+        renames) raises MissingCheckpointError."""
         missing = [name for name in CHECKPOINT_FILES
                    if not os.path.exists(os.path.join(data_dir, name))]
         if missing:
@@ -316,6 +311,8 @@ class Database:
                  fsync, lock_timeout)
         try:
             db.store.load_snapshot(os.path.join(data_dir, SNAPSHOT_FILE))
+            for name, idx in db.catalog.index_defs.items():
+                db.store.rebuild_index(db.catalog.handle(name), idx.base)
             db.recovery = db.txn.recover()
         except BaseException:
             db.close()

@@ -4,7 +4,7 @@ Plans are left-deep joins built in one pass.  Each round places the
 alias joined to one already placed (any alias first), then the one whose
 equality filters and joins bind the longest key prefix, then the first
 in FROM order; a join becomes an equality predicate of the alias placed
-second.  Each access step scans the table itself or one of its covered
+second.  Each access step scans the table itself or one of its
 indexes, whichever ``StoreCatalog.access_path`` picks for the bound
 attributes, by key prefix, else a full scan.  A step with no bound prefix
 that joins by equality to an earlier step which can yield several rows is

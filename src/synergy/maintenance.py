@@ -9,8 +9,8 @@ here has passed ``schema.check_write``: it pins its relation's key and
 assigns no key or foreign-key attribute.  Inserts construct the view tuple
 by walking the foreign keys upward, one read per ancestor relation.
 Updates find their view rows the way reads find rows, by the table or
-covered index ``StoreCatalog.access_path`` picks for the pinned key, in
-one scan, and plan each row from the cells it scanned.
+index ``StoreCatalog.access_path`` picks for the pinned key, in one scan,
+and plan each row from the cells it scanned.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def plan_update_rows(view: ViewDef, update: Update, reader,
     their replacement cells.
 
     One scan of the table ``catalog.access_path`` picks for the pinned
-    key finds them, each planned from the cells scanned: every view index
-    covers its view, so an unmarked index row holds its view row's cells.
+    key finds them, each planned from the cells scanned: an index row
+    holds its view row's cells, unless marked.
     A marked one turns up only in a replay, which must derive the old
     index keys from the view row, so that row is read again.
     """

@@ -1,18 +1,20 @@
 """Relations, keys, indexes, workload admission, and the schema graph.
 
-A schema models relations with primary keys and foreign keys, plus covered
+A schema models relations with primary keys and foreign keys, plus
 indexes.  The schema graph has one directed edge per foreign key, running
 from the referenced relation to the referencing relation and labeled with
 the (primary key, foreign key) attribute tuples.  ``build_catalog`` maps
 the schema, the selected views and their indexes onto the key-value store:
 one table per relation keyed by its primary key, one per view keyed by its
 last relation's key, one per index keyed by the indexed attributes followed
-by the base table's key, and one lock table per root.  ``StoreCatalog.add``
-builds every handle, typing its key and columns from the relations behind
-the table.  ``StoreCatalog.access_path`` is the one rule for which table,
-or covered index, serves a lookup by attribute values, for reads and
-updates alike.  ``baseline_transform`` admits the runnable workload.  The
-attribute name ``DIRTY`` is the store's mark and reserved.
+by the base table's key, and one lock table per root.  There is one kind
+of index: it holds its base table's (relation's or view's) own rows, every
+column, under that other key.  ``StoreCatalog.add`` builds every handle,
+typing its key and columns from the relations behind the table.
+``StoreCatalog.access_path`` is the one rule for which table, or index of
+it, serves a lookup by attribute values, for reads and updates alike.
+``baseline_transform`` admits the runnable workload.  The attribute name
+``DIRTY`` is the store's mark and reserved.
 
 ``check_write`` is the one rule for whether a write can run; the baseline
 transform, the transaction manager and recovery all call it, and nothing
@@ -65,11 +67,10 @@ class RelationDef:
 
 @dataclass(frozen=True)
 class IndexDef:
-    """A covered index: stores ``attributes`` keyed by ``indexed_on`` plus
-    the base table's key."""
+    """An index: its base's rows keyed by ``indexed_on`` plus the base
+    table's key."""
     name: str
     base: str                      # relation or view name
-    attributes: tuple[str, ...]    # covered columns
     indexed_on: tuple[str, ...]
 
 
@@ -126,15 +127,10 @@ class SchemaDef:
             base = self.relations.get(idx.base)
             if base is None:
                 raise SchemaError(f"index {idx.name}: unknown base {idx.base}")
-            for a in idx.attributes:
+            for a in idx.indexed_on:
                 if a not in base.attr_names:
                     raise SchemaError(
                         f"index {idx.name}: attribute {a!r} not in {idx.base}")
-            for a in idx.indexed_on:
-                if a not in idx.attributes:
-                    raise SchemaError(
-                        f"index {idx.name}: indexed attribute {a!r} "
-                        f"not covered")
             key = idx.indexed_on + tuple(
                 a for a in base.primary_key if a not in idx.indexed_on)
             if len(set(key)) != len(key):
@@ -266,8 +262,7 @@ class StoreCatalog:
         base = self.handle(idx.base)
         key_attrs = idx.indexed_on + tuple(
             a for a in base.key_attrs if a not in idx.indexed_on)
-        handle = self.add(idx.name, INDEX, key_attrs,
-                          tuple(dict.fromkeys(idx.attributes + key_attrs)),
+        handle = self.add(idx.name, INDEX, key_attrs, base.columns,
                           self.types[idx.base])
         self.index_defs[idx.name] = idx
         self._indexes_of.setdefault(idx.base, []).append(handle)
@@ -277,7 +272,7 @@ class StoreCatalog:
         return list(self._indexes_of.get(base, ()))
 
     def access_path(self, name: str, bound) -> tuple[TableHandle, int]:
-        """The table ``name``, or one of its covered indexes, whose key has
+        """The table ``name``, or one of its indexes, whose key has
         the longest leading run of attributes in ``bound``, and that run's
         length (0: scan the table); the table wins a tie.  Reads and
         updates both find rows by attribute values with it."""
@@ -414,7 +409,6 @@ def schema_to_dict(schema: SchemaDef) -> dict:
             for r in schema.relations.values()
         ],
         "indexes": [{"name": i.name, "base": i.base,
-                     "attributes": list(i.attributes),
                      "indexed_on": list(i.indexed_on)}
                     for i in schema.indexes],
         "roots": list(schema.roots),
@@ -435,8 +429,8 @@ def schema_from_dict(doc: dict) -> SchemaDef:
         if rel.name in relations:
             raise SchemaError(f"duplicate relation {rel.name!r}")
         relations[rel.name] = rel
-    indexes = tuple(IndexDef(i["name"], i["base"], tuple(i["attributes"]),
-                             tuple(i["indexed_on"]))
+    # an index holds its base's rows: an "attributes" field is ignored
+    indexes = tuple(IndexDef(i["name"], i["base"], tuple(i["indexed_on"]))
                     for i in doc.get("indexes", ()))
     schema = SchemaDef(relations, indexes, tuple(doc.get("roots", ())))
     schema.validate()

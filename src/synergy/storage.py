@@ -25,7 +25,10 @@ or index): its ``key_attrs`` values, encoded; a row lacking one of them
 has no row in that table.
 
 A snapshot (``SYKV2``) is the magic, a table count, then one section per
-table in name order.  A section holds the table name, a row count and a
+base, view and lock table in name order.  It holds no index, whose rows
+are its base table's rows under another key: ``rebuild_index`` makes one
+from them (a section an older snapshot holds for an index loads, and the
+rebuild replaces it).  A section holds the table name, a row count and a
 column count (the sorted union of the rows' cell names), and the keys in
 key order as one array of lengths plus one byte blob.  Each column then
 holds its name, one tag byte per row (int, str, bool or absent), its ints
@@ -48,7 +51,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from sortedcontainers import SortedDict
 
 from .errors import SchemaError, SnapshotCorruptionError, UnknownTableError
-from .schema import DIRTY, INT, STRING, TableHandle, value_fits
+from .schema import DIRTY, INDEX, INT, STRING, TableHandle, value_fits
 
 DELIM = b"\x1f"
 ESCAPE = b"\x1b"
@@ -165,11 +168,12 @@ def key_of(handle: TableHandle, cells: dict) -> bytes | None:
 # -- tables and store ---------------------------------------------------------
 
 class _Table:
-    __slots__ = ("rows", "lock")
+    __slots__ = ("rows", "lock", "kind")
 
-    def __init__(self):
+    def __init__(self, kind: str):
         self.rows = SortedDict()
         self.lock = threading.Lock()
+        self.kind = kind
 
 
 class Store:
@@ -183,7 +187,7 @@ class Store:
     def create_table(self, handle: TableHandle) -> None:
         if handle.name in self._tables:
             raise SchemaError(f"table {handle.name!r} already exists")
-        self._tables[handle.name] = _Table()
+        self._tables[handle.name] = _Table(handle.kind)
 
     def _table(self, name: str) -> _Table:
         try:
@@ -244,17 +248,30 @@ class Store:
     def count(self, table: str) -> int:
         return len(self._table(table).rows)
 
+    def rebuild_index(self, index: TableHandle, table: str) -> None:
+        """Refill the table of ``index`` from ``table``'s rows in one bulk
+        update: each row, the same dict, at its key there (``key_of``; a
+        row lacking a key attribute has none).  No snapshot holds an index,
+        so opening one rebuilds every index this way."""
+        source, target = self._table(table), self._table(index.name)
+        with source.lock:
+            pairs = [(key_of(index, row), row) for row in source.rows.values()]
+        with target.lock:
+            target.rows.clear()
+            target.rows.update(pair for pair in pairs if pair[0] is not None)
+
     # -- snapshot persistence ------------------------------------------------
 
     _MAGIC = b"SYKV2\n"
     _OLD_MAGIC = b"SYKV1\n"
 
     def save_snapshot(self, path) -> None:
-        """Write one columnar section per table (layout in the module
-        docstring); deterministic for a given store state."""
+        """Write one columnar section per table but an index's (layout in
+        the module docstring); deterministic for a given store state."""
+        names = sorted(n for n, t in self._tables.items() if t.kind != INDEX)
         with open(path, "wb") as fh:
-            fh.write(self._MAGIC + struct.pack(">I", len(self._tables)))
-            for name in sorted(self._tables):
+            fh.write(self._MAGIC + struct.pack(">I", len(names)))
+            for name in names:
                 t = self._tables[name]
                 with t.lock:
                     keys, rows = list(t.rows.keys()), list(t.rows.values())

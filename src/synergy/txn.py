@@ -15,16 +15,16 @@ un-mark; release.  A plan lists rows, each with its moves and the stored
 row to mark, if any; one applier, ``_write``, runs steps 3 to 5 for every
 kind.  A move takes a row of a base table or view from an old row to a
 new one (or from or to no row): it writes each of its index rows, keyed
-and projected from the row, then the row itself, and deletes the old key
-of an index row whose key changed or went.  An insert takes a new key (a
-row already there raises ``DuplicateKeyError`` while planned) and moves
-the base row, then each applicable view row; a delete moves the view rows
-first and the base row last; an update moves the base row, then each view
-row holding it, marked from step 3 to 5.  Readers seeing a mark re-scan,
-never using its cells.  So a marked row whose keys all stay takes two
-writes: its new cells, marked (step 3), then un-marked (5); one with a
-moving key takes three: its stored row marked at each old key, then its
-new cells marked (4), then not (5).  A covering index row shares the row.
+from the row and holding the row's own dict, then the row itself, and
+deletes the old key of an index row whose key changed or went.  An
+insert takes a new key (a row already there raises ``DuplicateKeyError``
+while planned) and moves the base row, then each applicable view row; a
+delete moves the view rows first and the base row last; an update moves
+the base row, then each view row holding it, marked from step 3 to 5.
+Readers seeing a mark re-scan, never using its cells.  So a marked row
+whose keys all stay takes two writes: its new cells, marked (step 3),
+then un-marked (5); one with a moving key takes three: its stored row
+marked at each old key, then its new cells marked (4), then not (5).
 
 Admission is ``schema.check_write`` alone, run before the begin record
 and the lock: a write pins its relation's full key and assigns no key or
@@ -46,15 +46,17 @@ it; a statement refused or failing there is reported aborted.
 Either way it gets its commit record.  Replay is idempotent at any crash
 point because of the write order: a row is written after its index rows,
 so until the row itself changes, a replay reads the old row and derives
-the old index keys from it again; a delete keeps the base row until its
-view rows are gone, so a replay still finds it (one finding it gone is
-done: it takes no lock).  An insert's replay accepts a row at its key
-that holds the insert's own values.  An update's replay finds its base
-row already written once that row carries every value it assigns; a
-filter on an assigned attribute then tested the old value and holds.
-That write order keeps a moving row's replay idempotent; a row written
-twice holds its new cells, marked, at its keys after step 3, from which
-a replay plans the same cells and keys again.
+the old index keys from it again (and indexes that ``open`` rebuilds from
+the rows give the store as it was just before that row's move began); a
+delete keeps the base row until its view rows are gone, so a replay
+still finds it (one finding it gone is done: it takes no lock).  An
+insert's replay accepts a row at its key that holds the insert's own
+values.  An update's replay finds its base row already written once that
+row carries every value it assigns; a filter on an assigned attribute
+then tested the old value and holds.  That write order keeps a moving
+row's replay idempotent; a row written twice holds its new cells,
+marked, at its keys after step 3, from which a replay plans the same
+cells and keys again.
 """
 
 from __future__ import annotations
@@ -337,15 +339,13 @@ class TransactionManager:
             for rel_name in view.relations:
                 self._views_containing.setdefault(rel_name, []).append(view)
         # resolved once per table: a write's moves look both up per row;
-        # each index handle comes with the getter of its key values and
-        # whether it covers its table's columns (its rows share the row's)
+        # each index handle comes with the getter of its key values
         self._index_handles: dict[str, list[tuple]] = {}
         self._count_slot: dict[str, int] = {}
         counted = {BASE: 0, VIEW: 1, INDEX: 2}   # TxnResult's count order
         for handle in catalog.all_handles():
             self._index_handles[handle.name] = [
-                (ih, operator.itemgetter(*ih.key_attrs),
-                 set(ih.columns) >= set(handle.columns))
+                (ih, operator.itemgetter(*ih.key_attrs))
                 for ih in catalog.indexes_of(handle.name)]
             self._count_slot[handle.name] = counted.get(handle.kind)
 
@@ -493,11 +493,11 @@ class TransactionManager:
         """The writes that take the row of ``table`` at ``key`` from ``old``
         to ``new`` (None: no row), each as (table, old key, new key, new
         cells), a key None on a side without a row: first one per index
-        row, keyed and projected from the row (a covering one shares it),
-        then the row itself.  An index row whose key values the move leaves
-        as they were keeps its old key, which is not encoded again."""
+        row, keyed from the row and holding the row itself, then the row.
+        An index row whose key values the move leaves as they were keeps
+        its old key, which is not encoded again."""
         moves = []
-        for ih, key_values, covering in self._index_handles[table]:
+        for ih, key_values in self._index_handles[table]:
             old_key = None if old is None else key_of(ih, old)
             if new is None:
                 new_key = None
@@ -506,9 +506,7 @@ class TransactionManager:
             else:
                 new_key = key_of(ih, new)
             if new_key is not None:
-                cells = new if covering else {
-                    a: new[a] for a in ih.columns if a in new}
-                moves.append((ih.name, old_key, new_key, cells))
+                moves.append((ih.name, old_key, new_key, new))
             elif old_key is not None:
                 moves.append((ih.name, old_key, None, None))
         moves.append((table, None if old is None else key,

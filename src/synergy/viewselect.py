@@ -8,9 +8,10 @@ their outgoing edges are unmarked before the next round.
 
 Rewriting collapses each view's relations into a single table reference,
 drops intra-view join conditions, and re-points the surviving attribute
-references.  Index recommendation covers filtered view attributes the view
-key does not serve, plus maintenance indexes keyed on the primary key of
-interior view relations that the workload updates.
+references.  Index recommendation serves filtered view attributes the view
+key does not, plus maintenance indexes keyed on the primary key of
+interior view relations that the workload updates; each index holds its
+view's rows.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def rewrite_workload(workload: list[Statement], trees: list[RootedTree],
 
 def recommend_view_indexes(rewritten: list[Statement], views: list[ViewDef],
                            ) -> list[IndexDef]:
-    """One covered view-index per view and uncovered filter attribute.
+    """One view index per view and filter attribute not yet served.
 
     A query's filters on a view are served already when any filtered
     attribute leads the view key or an existing view-index; otherwise the
@@ -227,11 +228,7 @@ def recommend_view_indexes(rewritten: list[Statement], views: list[ViewDef],
                 continue
             eq = sorted(f.ref.name for f in filters if f.op == "=")
             pick = eq[0] if eq else sorted(attrs)[0]
-            out.append(IndexDef(
-                name=f"X_{view.name}_{pick}",
-                base=view.name,
-                attributes=view.attributes,
-                indexed_on=(pick,)))
+            out.append(IndexDef(f"X_{view.name}_{pick}", view.name, (pick,)))
             indexed[view.name].add(pick)
     return out
 
@@ -254,9 +251,6 @@ def recommend_maintenance_indexes(views: list[ViewDef],
             if (view.name, pk) in seen:
                 continue
             seen.add((view.name, pk))
-            out.append(IndexDef(
-                name=f"M_{view.name}_{'_'.join(pk)}",
-                base=view.name,
-                attributes=view.attributes,
-                indexed_on=pk))
+            out.append(IndexDef(f"M_{view.name}_{'_'.join(pk)}", view.name,
+                                pk))
     return out

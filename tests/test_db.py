@@ -6,6 +6,7 @@ inputs."""
 import itertools
 import json
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ import time
 
 import pytest
 
-from synergy import storage, txn
+from synergy import oracle, storage, txn
 from synergy.cli import format_generation_report
 from synergy.db import PIPELINE_FILE, Database
 from synergy.errors import (LockTimeout, MissingCheckpointError, SchemaError,
@@ -22,7 +23,8 @@ from synergy.fixtures import (FIXTURES, build_fixture, company_schema,
                               company_workload, mixed_statements, populate,
                               populate_company, populate_tpcw_micro,
                               tpcw_micro_schema, tpcw_micro_workload)
-from synergy.schema import LOCK, ForeignKey, IndexDef, RelationDef, SchemaDef
+from synergy.schema import (LOCK, ForeignKey, IndexDef, RelationDef, SchemaDef,
+                            load_schema, schema_to_dict)
 from synergy.sqlparse import parse_statement, parse_workload, render_statement
 from synergy.storage import encode_key
 from synergy.txn import (PHASE_BEGIN, PHASE_COMMIT, CrashInjected,
@@ -590,8 +592,7 @@ def indexed_base_schema():
             ("I_ID",)),
     }
     schema = SchemaDef(relations)
-    schema.indexes = (IndexDef("X_Item_title", "Item",
-                               ("I_ID", "I_TITLE", "I_COST"), ("I_TITLE",)),)
+    schema.indexes = (IndexDef("X_Item_title", "Item", ("I_TITLE",)),)
     schema.validate()
     return schema
 
@@ -633,6 +634,42 @@ def test_base_table_index_end_to_end():
         assert rows == [{"I_ID": 5, "I_TITLE": "ada", "I_COST": 50}]
         report = db.verify()
         assert report.ok, report.describe()
+    finally:
+        db.close()
+
+
+#: reads through X_Employee_EName; an index holding only EID and EName
+#: gave 2 of 6 columns for the first and KeyError: 'EHome_AID' for the second
+PARTIAL_INDEX_READS = (
+    "SELECT * FROM Employee AS e WHERE e.EName = 'emp3'",
+    "SELECT * FROM Employee AS e, Address AS a "
+    "WHERE a.AID = e.EHome_AID AND e.EName = 'emp3'",
+)
+
+
+def test_a_schema_file_declaring_a_partial_index_reads_whole_rows(tmp_path):
+    """A schema.json that gave an index only some of its table's columns
+    still loads; the index holds whole rows, so reads through it equal the
+    oracle over the base tables."""
+    doc = schema_to_dict(company_schema())
+    doc["indexes"] = [{"name": "X_Employee_EName", "base": "Employee",
+                       "attributes": ["EID", "EName"],
+                       "indexed_on": ["EName"]}]
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    db = Database.create(load_schema(path), company_workload())
+    try:
+        populate_company(db, employees=6, seed=8)
+        tables = {name: [c for _, c in db.store.scan(name)]
+                  for name in db.schema.relations}
+        for text in PARTIAL_INDEX_READS:
+            stmt = parse_statement(text)
+            assert "X_Employee_EName" in [
+                step.scan_table for step in db.engine.plan(stmt).steps]
+            got = db.execute(stmt)
+            assert got and len(got[0]) >= 6
+            assert oracle.row_multiset(got) == oracle.row_multiset(
+                oracle.eval_select(stmt, tables))
     finally:
         db.close()
 
@@ -690,8 +727,7 @@ def indexed_company():
     """Company with a schema-level index on a base in a view, its key led
     by a string, and an update that asks for a maintenance index."""
     schema = company_schema()
-    schema.indexes = (IndexDef("X_Employee_EName", "Employee",
-                               ("EID", "EName"), ("EName",)),)
+    schema.indexes = (IndexDef("X_Employee_EName", "Employee", ("EName",)),)
     schema.validate()
     return schema, company_workload() + [
         parse_statement("UPDATE Employee SET ESalary = ? WHERE EID = ?")]
@@ -747,8 +783,7 @@ INDEXED_COMPANY_HANDLES = [
     COMPANY_BASES[0], COMPANY_BASES[1],
     (COMPANY_BASES[2][0], ["X_Employee_EName"]),
     COMPANY_BASES[3],
-    (("X_Employee_EName", "index", ("EName", "EID"), (S, I), ("EID", "EName")),
-     []),
+    (("X_Employee_EName", "index", ("EName", "EID"), (S, I), EMPLOYEE), []),
     COMPANY_VIEWS[0],
     (COMPANY_VIEWS[1][0], ["X_V_Employee_Works_On_Hours",
                            "M_V_Employee_Works_On_EID"]),
@@ -866,7 +901,7 @@ def test_open_refuses_a_workload_that_lost_a_read(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(pipeline, fh)
     with pytest.raises(UnknownTableError,
-                       match="M_V_Customer_Order_Order_line_O_ID"):
+                       match="V_Customer_Order_Order_line"):
         Database.open(data_dir)
 
 
@@ -898,5 +933,91 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
         assert report.ok, report.describe()
         assert reopened.execute(
             "SELECT * FROM Employee as e WHERE e.EID = 1") == first
+    finally:
+        reopened.close()
+
+
+# -- the checkpoint holds no index: open rebuilds each from its table ----------
+
+def snapshot_sections(path) -> dict:
+    """Each section of a snapshot file: name -> [(key, row)]."""
+    data = open(path, "rb").read()
+    reader = storage._Reader(data, len(storage.Store._MAGIC))
+    return {reader.name(): storage._decode_section(reader)
+            for _ in range(reader.array("I", 1)[0])}
+
+
+def saved_database(data_dir, fixture):
+    """A small populated database of ``fixture``, saved into ``data_dir``
+    and closed."""
+    db = Database.create(*build_fixture(fixture), data_dir=data_dir)
+    try:
+        populate(db, fixture, scale=4, ratio=2, seed=3)
+        db.save(data_dir)
+    finally:
+        db.close()
+    return db
+
+
+def assert_index_rows_are_table_rows(db):
+    for name, idx in db.catalog.index_defs.items():
+        base = db.catalog.handle(idx.base)
+        rows = db.store.scan(name)
+        assert len(rows) == db.store.count(idx.base), name
+        for _, cells in rows:
+            assert db.store.get(idx.base, storage.key_of(base, cells)) \
+                is cells, name
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_index_rows_are_their_table_rows_after_open(tmp_path, fixture):
+    data_dir = str(tmp_path / "d")
+    created = saved_database(data_dir, fixture)
+    assert created.catalog.index_defs
+    db = Database.open(data_dir)
+    try:
+        assert_index_rows_are_table_rows(db)
+        report = db.verify()
+        assert report.ok, report.describe()
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_a_saved_snapshot_holds_no_index_section(tmp_path, fixture):
+    data_dir = str(tmp_path / "d")
+    db = saved_database(data_dir, fixture)
+    sections = snapshot_sections(os.path.join(data_dir, "snapshot.bin"))
+    assert sorted(sections) == sorted(
+        h.name for h in db.catalog.all_handles() if h.kind != "index")
+
+
+def test_a_snapshot_holding_index_sections_opens_to_rebuilt_indexes(tmp_path):
+    """The older layout wrote a section per index.  Such a snapshot still
+    opens, and the rebuild, not the loaded section, decides each index:
+    a stale row in a stored index section is gone after open."""
+    data_dir = str(tmp_path / "d")
+    db = saved_database(data_dir, "tpcw-micro")
+    path = os.path.join(data_dir, "snapshot.bin")
+    sections = snapshot_sections(path)
+    view = "V_Customer_Order_Order_line"
+    for name, idx in db.catalog.index_defs.items():
+        handle = db.catalog.handle(name)
+        sections[name] = sorted((storage.key_of(handle, row), row)
+                                for _, row in sections[idx.base])
+    stale_key, stale = sections["X_" + view + "_C_ID"][0]
+    sections["X_" + view + "_C_ID"][0] = (stale_key, {**stale, "OL_QTY": -1})
+    with open(path, "wb") as fh:
+        fh.write(storage.Store._MAGIC + struct.pack(">I", len(sections)))
+        for name in sorted(sections):
+            fh.write(storage._encode_section(
+                name, [k for k, _ in sections[name]],
+                [row for _, row in sections[name]]))
+    reopened = Database.open(data_dir)
+    try:
+        report = reopened.verify()
+        assert report.ok, report.describe()
+        assert reopened.store.get("X_" + view + "_C_ID", stale_key) == stale
+        assert_index_rows_are_table_rows(reopened)
     finally:
         reopened.close()

@@ -96,7 +96,7 @@ def test_the_dirty_mark_name_is_reserved():
 
 def test_index_key_is_indexed_on_plus_pk():
     schema = make_schema(rel("R", [("k", "int"), ("v", "int")], ["k"]))
-    schema.indexes = (IndexDef("X_R_v", "R", ("k", "v"), ("v",)),)
+    schema.indexes = (IndexDef("X_R_v", "R", ("v",)),)
     schema.validate()
     handle = build_catalog(schema).handle("X_R_v")
     assert handle.key_attrs == ("v", "k")

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from synergy import storage
 from synergy.db import Database
 from synergy.errors import (DuplicateKeyError, LockTimeout, OrphanError,
                             SchemaError, UnsupportedUpdate,
@@ -15,7 +16,7 @@ from synergy.fixtures import (company_schema, company_workload,
                               mixed_statements, populate_company,
                               populate_tpcw_micro, tpcw_micro_schema,
                               tpcw_micro_workload)
-from synergy.schema import LOCK_COLUMN
+from synergy.schema import LOCK_COLUMN, IndexDef
 from synergy.sqlparse import parse_statement
 from synergy.storage import DIRTY, encode_key
 from synergy.txn import (CrashInjected, PHASE_BEGIN, PHASE_COMMIT,
@@ -885,23 +886,46 @@ def test_crash_at_every_store_write_then_reopen(tmp_path, text, row, build):
         n += 1
 
 
-@pytest.mark.parametrize("schema, workload", [
-    (tpcw_micro_schema(), tpcw_micro_workload()),
-    (company_schema(), company_workload()),
-    (company_schema(), [parse_statement(text) for text in SALARY_READS]),
-], ids=["tpcw-micro", "company", "salary-reads"])
-def test_every_view_index_covers_its_view(schema, workload):
+def company_with_a_schema_index():
+    schema = company_schema()
+    schema.indexes = (IndexDef("X_Employee_EName", "Employee", ("EName",)),)
+    return schema
+
+
+def populate_small_company(db):
+    populate_company(db, employees=6, seed=8)
+
+
+def populate_small_tpcw_micro(db):
+    populate_tpcw_micro(db, scale=3, ratio=2)
+
+
+@pytest.mark.parametrize("schema, workload, populate", [
+    (tpcw_micro_schema(), tpcw_micro_workload(), populate_small_tpcw_micro),
+    (company_schema(), company_workload(), populate_small_company),
+    (company_schema(), [parse_statement(text) for text in SALARY_READS],
+     populate_small_company),
+    (company_with_a_schema_index(), company_workload(),
+     populate_small_company),
+], ids=["tpcw-micro", "company", "salary-reads", "schema-index"])
+def test_every_view_index_covers_its_view(schema, workload, populate):
     """An update plans a view row from the unmarked index row it scans,
-    which holds the view row's cells only because the index covers every
-    column of its view."""
+    and a read returns an index row as its table's row: both hold only
+    because every index, of a view or of a relation, has every column of
+    its table, and every index row is its table row's own dict."""
     db = Database.create(schema, workload)
     try:
-        covered = [(ih, db.catalog.handle(view.name))
-                   for view in db.views
-                   for ih in db.catalog.indexes_of(view.name)]
-        assert covered
-        for ih, view in covered:
-            assert set(ih.columns) >= set(view.columns), ih.name
+        populate(db)
+        indexed = [(ih, handle) for handle in db.catalog.all_handles()
+                   for ih in db.catalog.indexes_of(handle.name)]
+        assert any(h.kind == "view" for _, h in indexed)
+        for ih, handle in indexed:
+            assert ih.columns == handle.columns, ih.name
+            rows = db.store.scan(ih.name)
+            assert len(rows) == db.store.count(handle.name), ih.name
+            for _, cells in rows:
+                key = storage.key_of(handle, cells)
+                assert db.store.get(handle.name, key) is cells, ih.name
     finally:
         db.close()
 
